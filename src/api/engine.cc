@@ -54,15 +54,18 @@ FdbResult Engine::EvaluateOnFRep(
   FdbResult res{FRep{FTree{}}, FPlan{}, 0.0, 0.0, {}, {}};
 
   Timer opt_timer;
-  // Constant selections are cheapest and run first (§4); they do not change
-  // class structure, so the plan can be optimised on the input tree.
-  FPlanSearchResult search = OptimizeOnTree(in.tree(), eqs);
-  res.optimize_seconds = opt_timer.Seconds();
-
+  // Constant selections are cheapest and run first (§4). An equality with a
+  // constant marks its node constant and normalises the tree, so the plan
+  // is optimised on the tree the selections leave behind.
   FPlan full;
+  FTree selected = in.tree();
   for (const ConstPred& p : preds) {
     full.steps.push_back(PlanStep::MakeSelectConst(p.attr, p.op, p.value));
+    selected = SimulateStepOnTree(selected, full.steps.back());
   }
+  FPlanSearchResult search = OptimizeOnTree(selected, eqs);
+  res.optimize_seconds = opt_timer.Seconds();
+
   full.steps.insert(full.steps.end(), search.plan.steps.begin(),
                     search.plan.steps.end());
   if (!projection.Empty()) {
@@ -139,7 +142,8 @@ FdbResult Engine::ExecuteTraced(const Query& q, QueryTrace* trace,
   if (trace != nullptr) {
     // The SPJ result of plain Execute stays factorised (materialisation is
     // the caller's call); EXPLAIN ANALYZE times the full pipeline, so
-    // enumerate the visible relation for the morsel-plan/enumerate spans.
+    // materialise the visible relation for the order-restructure,
+    // morsel-plan and emit spans.
     MaterializeResult(res, kernel, trace);
   }
   return res;

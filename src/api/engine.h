@@ -169,30 +169,26 @@ class Engine {
   /// Evaluates a parsed query with every phase recorded into `trace`
   /// (null = no tracing): the aggregate path runs ExecuteAggregate, the
   /// SPJ path runs EvaluateFlat *and* materialises the visible relation —
-  /// optionally through `kernel` (see MaterializeResult) — so the trace
-  /// covers morsel planning and enumeration. This is the execution core of
-  /// EXPLAIN ANALYZE, both here and in the serve path, which wraps it in
-  /// its own root/parse/cache-lookup spans (serve/query_server.h).
+  /// through `kernel` when it matches (see MaterializeResult) — so the
+  /// trace covers order restructuring, morsel planning and emission. This
+  /// is the execution core of EXPLAIN ANALYZE, both here and in the serve
+  /// path, which wraps it in its own root/parse/cache-lookup spans
+  /// (serve/query_server.h).
   FdbResult ExecuteTraced(const Query& q, QueryTrace* trace,
                           const FTreeSearchResult* pretree = nullptr,
                           const EnumKernel* kernel = nullptr);
 
   /// Materialises the visible relation of an evaluation result — the flat
-  /// output tap of EvaluateFlat/Execute. Large representations enumerate
-  /// in parallel per EngineOptions::enumerate (deterministic: identical
-  /// rows and order for every thread count); small ones stay on the
-  /// caller thread.
-  Relation MaterializeResult(const FdbResult& res) const {
-    return MaterializeVisible(res.rep, opts_.enumerate);
-  }
-
-  /// Kernel-accelerated materialisation: identical output to the overload
-  /// above, but rows are emitted by a compiled enumeration kernel
-  /// (core/kernel.h) when `kernel` matches the result's f-tree — e.g. the
-  /// kernel attached to the serve-path plan cache entry for this query
-  /// (serve/plan_cache.h). Null or mismatching kernels fall back to the
-  /// interpreted path, so callers can pass whatever the cache holds.
-  Relation MaterializeResult(const FdbResult& res, const EnumKernel* kernel,
+  /// output tap of EvaluateFlat/Execute — through the MaterializeVisible
+  /// sink (core/parallel_enumerate.h): sorted and duplicate-free by
+  /// construction. Large results enumerate in parallel per
+  /// EngineOptions::enumerate, small ones stay on the caller; the rows are
+  /// identical for every thread count. `kernel` (e.g. the one attached to
+  /// the serve-path plan cache entry, serve/plan_cache.h) is used when it
+  /// matches the restructured result tree; null or mismatching kernels are
+  /// replaced by one compiled on demand.
+  Relation MaterializeResult(const FdbResult& res,
+                             const EnumKernel* kernel = nullptr,
                              QueryTrace* trace = nullptr) const {
     return MaterializeVisible(res.rep, opts_.enumerate, kernel, trace);
   }

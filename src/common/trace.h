@@ -15,9 +15,12 @@
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
-//     kernel-compile       EnumKernel::Compile (first execution of a plan)
+//     order-restructure    output-order swaps of the materialisation sink
+//                          (rows = swaps applied, bytes = restructured rep)
+//     kernel-compile       EnumKernel::Compile (first execution of a plan,
+//                          or on demand in the sink)
 //     morsel-plan          ParallelEnumerator planning (rows = morsels)
-//     enumerate            materialisation of the flat result (rows)
+//     emit                 kernel emission of the flat result (rows)
 //
 // Tracing is opt-in per query: every traced function takes a
 // `QueryTrace* trace = nullptr` and a null trace makes Scope a no-op that

@@ -303,7 +303,7 @@ uint64_t GroupedRep::NumGroups() const {
 namespace {
 
 // The frame-odometer walk of GroupedRep::Materialize, restricted to
-// `bounds` on the top pre-order frames (empty = whole group stream; same
+// `bounds` on the top frames (empty = whole group stream; same
 // chain contract as the TupleEnumerator bounds constructor). Appends the
 // covered groups' rows to *tbl in odometer order; `est_rows` pre-reserves
 // the row storage.
@@ -319,7 +319,7 @@ void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
     out.aggs.reserve(out.aggs.size() + rows * ns);
   }
 
-  // Pre-order frames over the group forest (shared with TupleEnumerator)
+  // Frames over the group forest (shared with TupleEnumerator)
   // plus the per-frame odometer state of this walk.
   struct Frame : PreOrderFrame {
     uint32_t union_id = 0;

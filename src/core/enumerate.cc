@@ -5,14 +5,37 @@
 
 namespace fdb {
 
+AttrId FrameOrderKey(const FTree& t, int n) {
+  const AttrSet vis = t.node(n).visible;
+  return vis.Empty() ? static_cast<AttrId>(kMaxAttrs) : vis.Min();
+}
+
 std::vector<PreOrderFrame> BuildPreOrderFrames(const FTree& t,
                                                const std::vector<char>* keep) {
+  // Pre-order position of each node: the tie-break between invisible nodes.
+  const std::vector<int> pre = t.PreOrder();
+  std::vector<size_t> rank(t.pool_size(), 0);
+  for (size_t i = 0; i < pre.size(); ++i) {
+    rank[static_cast<size_t>(pre[i])] = i;
+  }
+  auto before = [&](int x, int y) {
+    const AttrId kx = FrameOrderKey(t, x), ky = FrameOrderKey(t, y);
+    if (kx != ky) return kx < ky;
+    return rank[static_cast<size_t>(x)] < rank[static_cast<size_t>(y)];
+  };
   std::vector<PreOrderFrame> frames;
-  std::vector<int> order = t.PreOrder();
+  frames.reserve(pre.size());
   std::vector<int> frame_of(t.pool_size(), -1);
-  frames.reserve(order.size());
-  for (int n : order) {
+  // Nodes whose parent already has a frame. Trees have at most kMaxAttrs
+  // nodes, so a linear scan per pick is cheap.
+  std::vector<int> ready = t.roots();
+  while (!ready.empty()) {
+    const auto it = std::min_element(ready.begin(), ready.end(), before);
+    const int n = *it;
+    ready.erase(it);
     if (keep != nullptr && !(*keep)[static_cast<size_t>(n)]) continue;
+    const std::vector<int>& children = t.node(n).children;
+    ready.insert(ready.end(), children.begin(), children.end());
     PreOrderFrame f;
     f.node = n;
     int p = t.node(n).parent;
@@ -153,42 +176,6 @@ bool TupleEnumerator::Next() {
   }
   done_ = true;
   return false;
-}
-
-Relation internal::MaterializeVisibleSized(const FRep& rep, double est_rows) {
-  std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
-  Relation out(schema);
-  // Reserve the pre-dedup row count up front; skip the reservation when
-  // the count is unknown or approximate-huge (those results do not fit
-  // memory anyway).
-  if (!schema.empty() && est_rows > 0.0 && est_rows < 1e9) {
-    out.Reserve(static_cast<size_t>(est_rows));
-  }
-  TupleEnumerator en(rep, /*visible_only=*/true);
-  std::vector<Value> tuple(schema.size());
-  while (en.Next()) {
-    for (size_t c = 0; c < schema.size(); ++c) tuple[c] = en.ValueOf(schema[c]);
-    out.AddTuple(tuple);
-  }
-  out.SortLex();  // relations are sets: sort + dedup
-  return out;
-}
-
-Relation MaterializeVisible(const FRep& rep) {
-  double rows = -1.0;
-  if (!rep.empty()) {
-    // The exact pre-dedup row count: the product over the kept root trees
-    // of their visible-restricted tuple counts (the CountTuples DP with
-    // invisible-only subtrees masked out).
-    std::vector<char> keep = VisibleKeepMask(rep.tree());
-    std::vector<double> counts = rep.SubtreeTupleCounts(&keep);
-    rows = 1.0;
-    const auto& roots = rep.tree().roots();
-    for (size_t i = 0; i < roots.size(); ++i) {
-      if (keep[static_cast<size_t>(roots[i])]) rows *= counts[rep.roots()[i]];
-    }
-  }
-  return internal::MaterializeVisibleSized(rep, rows);
 }
 
 }  // namespace fdb

@@ -2,30 +2,46 @@
 //
 // F-representations allow constant-delay enumeration: O(|E|) preparation and
 // O(|S|) delay between successive tuples (§2). TupleEnumerator implements
-// this with an explicit odometer over the f-tree's pre-order: advancing to
-// the next tuple touches each of the |T| frames at most once.
+// this with an explicit odometer over the f-tree's frames: advancing to the
+// next tuple touches each of the |T| frames at most once.
+//
+// Frame order. The odometer is correct for any parent-first order of the
+// frames, and it streams tuples in lexicographic order of the frame values
+// (every union is sorted). BuildPreOrderFrames fixes one such order for
+// every walker (TupleEnumerator, EnumKernel, GroupedRep::Materialize, the
+// morsel planner): ready nodes are taken by their smallest visible
+// attribute id, invisible nodes last. When every root-to-leaf path of the
+// tree increases in that key (PlanOutputOrder in core/fplan.h restructures
+// any tree into this shape), the stream is therefore sorted by the visible
+// attributes in id order — the contract of the MaterializeVisible sink
+// (core/parallel_enumerate.h), met without sorting.
 #ifndef FDB_CORE_ENUMERATE_H_
 #define FDB_CORE_ENUMERATE_H_
 
 #include <vector>
 
 #include "core/frep.h"
-#include "storage/relation.h"
 
 namespace fdb {
 
-/// One pre-order frame of an f-tree walk: the node, the index of its
-/// parent's frame in the frame list (-1 for roots), and the child slot
-/// within the parent (for roots: the slot in the root list).
+/// One frame of an f-tree walk: the node, the index of its parent's frame
+/// in the frame list (-1 for roots; parents always precede children), and
+/// the child slot within the parent (for roots: the slot in the root list).
 struct PreOrderFrame {
   int node;
   int parent_pos;
   size_t slot;
 };
 
-/// Frames for t.PreOrder(). When `keep` is given (indexed by node id, and
-/// closed under parents: a kept node's parent is kept), skipped nodes get
-/// no frame. Shared by TupleEnumerator and GroupedRep::Materialize.
+/// Sort key of a node in the frame order: the smallest visible attribute
+/// id of its class, or kMaxAttrs for an invisible node.
+AttrId FrameOrderKey(const FTree& t, int n);
+
+/// The frames of every alive node in key order, parents first: among the
+/// nodes whose parent already has a frame, the one with the smallest
+/// FrameOrderKey comes next (invisible nodes in pre-order among
+/// themselves). When `keep` is given (indexed by node id, and closed under
+/// parents: a kept node's parent is kept), skipped nodes get no frame.
 std::vector<PreOrderFrame> BuildPreOrderFrames(const FTree& t,
                                                const std::vector<char>* keep =
                                                    nullptr);
@@ -35,7 +51,7 @@ std::vector<PreOrderFrame> BuildPreOrderFrames(const FTree& t,
 /// valid `keep` argument for BuildPreOrderFrames).
 std::vector<char> VisibleKeepMask(const FTree& t);
 
-/// Half-open entry range [begin, end) restricting one pre-order frame of
+/// Half-open entry range [begin, end) restricting one frame of
 /// an enumeration (see the TupleEnumerator bounds constructor). Produced
 /// by the morsel planner in core/parallel_enumerate.h.
 struct EntryBound {
@@ -57,15 +73,16 @@ struct EntryBound {
 /// one, so invisible-only nodes no longer multiply the stream. Duplicate
 /// *visible* tuples can still arise from invisible nodes that have visible
 /// descendants (two values of the invisible node may lead to equal visible
-/// sub-tuples below — a data property no structural skip can detect);
-/// MaterializeVisible removes those by sort+dedup. In this mode only
-/// visible attributes of the current tuple are meaningful.
+/// sub-tuples below). MaterializeVisible rules them out structurally: it
+/// first sinks such nodes below their visible descendants (PlanOutputOrder
+/// in core/fplan.h), after which they sit in skipped subtrees. In this
+/// mode only visible attributes of the current tuple are meaningful.
 class TupleEnumerator {
  public:
   explicit TupleEnumerator(const FRep& rep, bool visible_only = false);
 
   /// Range-restricted enumeration: `bounds[i]` restricts the entries of
-  /// pre-order frame i (the same frame order the unrestricted enumerator
+  /// frame i (the same frame order the unrestricted enumerator
   /// walks, after the visible_only skip) to [begin, end). Every bound but
   /// the last must pin exactly one entry (begin + 1 == end), so the
   /// restricted frames form a chain whose unions never change during the
@@ -107,32 +124,13 @@ class TupleEnumerator {
   void WriteValues(size_t i);
 
   const FRep* rep_;
-  std::vector<Frame> frames_;      // pre-order
-  std::vector<size_t> root_slot_;  // frame index -> slot in rep roots
-  std::vector<Value> current_;     // indexed by AttrId
+  std::vector<Frame> frames_;       // BuildPreOrderFrames order
+  std::vector<Value> current_;      // indexed by AttrId
   std::vector<EntryBound> bounds_;  // per-frame ranges on a prefix of frames_
   bool started_ = false;
   bool done_ = false;
   bool nullary_pending_ = false;
 };
-
-/// Materialises the visible part of `rep` as a relation with schema =
-/// visible attributes in increasing id order; rows sorted, duplicates
-/// removed. Enumerates with `visible_only`, so invisible-only subtrees do
-/// not blow up the intermediate stream, and reserves the output capacity
-/// from the restricted tuple count up front (no growth reallocations).
-/// For large representations the overload taking EnumerateOptions
-/// (core/parallel_enumerate.h) enumerates on multiple cores.
-Relation MaterializeVisible(const FRep& rep);
-
-namespace internal {
-
-/// Sequential MaterializeVisible sink with a pre-computed pre-dedup row
-/// count (<= 0: unknown, skip the reservation). Shared by the public
-/// overloads so each call sizes the stream with exactly one DP pass.
-Relation MaterializeVisibleSized(const FRep& rep, double est_rows);
-
-}  // namespace internal
 
 }  // namespace fdb
 

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "core/enumerate.h"
+
 namespace fdb {
 
 namespace {
@@ -149,6 +151,38 @@ FTree SimulateStepOnTree(const FTree& t, const PlanStep& step) {
       return out;
   }
   throw FdbError("unknown plan step");
+}
+
+std::vector<PlanStep> PlanOutputOrder(const FTree& t, FTree* ordered) {
+  FTree cur = t;
+  std::vector<PlanStep> steps;
+  // Subtree roots whose ancestors are final, planned top-down.
+  std::vector<int> work(t.roots().rbegin(), t.roots().rend());
+  while (!work.empty()) {
+    const int n = work.back();
+    work.pop_back();
+    int m = n;  // the subtree's smallest key
+    std::vector<int> stack{n};
+    while (!stack.empty()) {
+      const int x = stack.back();
+      stack.pop_back();
+      if (FrameOrderKey(cur, x) < FrameOrderKey(cur, m)) m = x;
+      for (int c : cur.node(x).children) stack.push_back(c);
+    }
+    if (FrameOrderKey(cur, m) == kMaxAttrs) continue;  // nothing visible
+    const int top_parent = cur.node(n).parent;
+    while (cur.node(m).parent != top_parent) {
+      const int p = cur.node(m).parent;
+      const PlanStep step =
+          PlanStep::MakeSwap(cur.node(p).attrs.Min(), cur.node(m).attrs.Min());
+      cur = SimulateStepOnTree(cur, step);
+      steps.push_back(step);
+    }
+    const std::vector<int>& ch = cur.node(m).children;
+    work.insert(work.end(), ch.rbegin(), ch.rend());
+  }
+  if (ordered != nullptr) *ordered = std::move(cur);
+  return steps;
 }
 
 }  // namespace fdb

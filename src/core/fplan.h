@@ -84,6 +84,19 @@ FRep ExecutePlan(const FRep& in, const FPlan& plan);
 /// ExecuteStep(rep, step).tree() for any rep over `t`.
 FTree SimulateStepOnTree(const FTree& t, const PlanStep& step);
 
+/// The swaps (§3.1) that restructure `t` into output order: afterwards
+/// every node lies above all nodes with a larger FrameOrderKey on its
+/// root-to-leaf path (core/enumerate.h). Visible keys then increase along
+/// every path, and invisible nodes (key kMaxAttrs) have only invisible
+/// descendants, so visible-only enumeration over the result is sorted by
+/// the visible attributes in id order and duplicate-free. Planned top-down:
+/// the smallest key of each subtree is lifted to the subtree's root by
+/// repeated swaps with its parent, then each child subtree is planned the
+/// same way. A tree already in output order needs no step. `ordered`, when
+/// given, receives the tree after the steps.
+std::vector<PlanStep> PlanOutputOrder(const FTree& t,
+                                      FTree* ordered = nullptr);
+
 }  // namespace fdb
 
 #endif  // FDB_CORE_FPLAN_H_

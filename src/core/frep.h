@@ -264,8 +264,8 @@ class FRep {
   /// closed under parents), child slots whose node is masked out
   /// contribute factor 1 — the count of the enumeration stream restricted
   /// to kept frames (TupleEnumerator's visible_only mode). Unreachable
-  /// unions stay 0. Feeds the morsel planner in core/parallel_enumerate.h
-  /// and the output reservation of MaterializeVisible.
+  /// unions stay 0. Feeds the morsel planner and its parallel cutoff in
+  /// core/parallel_enumerate.h.
   std::vector<double> SubtreeTupleCounts(
       const std::vector<char>* keep = nullptr) const;
 

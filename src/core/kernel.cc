@@ -95,7 +95,8 @@ bool EnumKernel::Matches(const FTree& tree) const {
 
 template <bool kEmit>
 uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
-                         [[maybe_unused]] std::vector<Value>* out) const {
+                         [[maybe_unused]] std::vector<Value>* out,
+                         [[maybe_unused]] Value* dst_cursor) const {
   // Same bounds contract (and validation) as the TupleEnumerator bounds
   // constructor: a pinned chain plus one trailing ranged frame.
   for (size_t i = 0; i < bounds.size(); ++i) {
@@ -193,9 +194,14 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
       const uint32_t* lcols = out_cols_.data() + last.out_begin;
       const uint32_t lcount = last.out_end - last.out_begin;
       const size_t run_len = lf.limit - lf.entry;
-      const size_t pos = out->size();
-      out->resize(pos + run_len * ncols);
-      Value* dst = out->data() + pos;
+      Value* dst = dst_cursor;
+      if (out != nullptr) {
+        const size_t pos = out->size();
+        out->resize(pos + run_len * ncols);
+        dst = out->data() + pos;
+      } else {
+        dst_cursor += run_len * ncols;
+      }
       const Value* vals = lf.vals + lf.entry;
       // Column-strided emission: every column is either constant for the
       // whole run (outer frames) or a straight copy of the innermost
@@ -236,12 +242,18 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
 
 uint64_t EnumKernel::Emit(const FRep& rep, std::span<const EntryBound> bounds,
                           std::vector<Value>* out) const {
-  return Run<true>(rep, bounds, out);
+  return Run<true>(rep, bounds, out, nullptr);
+}
+
+uint64_t EnumKernel::EmitTo(const FRep& rep,
+                            std::span<const EntryBound> bounds,
+                            Value* dst) const {
+  return Run<true>(rep, bounds, nullptr, dst);
 }
 
 uint64_t EnumKernel::CountRows(const FRep& rep,
                                std::span<const EntryBound> bounds) const {
-  return Run<false>(rep, bounds, nullptr);
+  return Run<false>(rep, bounds, nullptr, nullptr);
 }
 
 }  // namespace fdb

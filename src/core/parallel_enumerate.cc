@@ -8,6 +8,7 @@
 #include "common/exec_context.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
+#include "core/fplan.h"
 #include "core/kernel.h"
 #include "core/validate.h"
 
@@ -64,7 +65,7 @@ uint32_t ResolveUnion(const PlanCtx& c, size_t f) {
 // stream weight of one subtree tuple of this union — the product of every
 // count outside the subtree under the pinned prefix — so entry `e` covers
 // mult * ExtCount(e) stream tuples. Entries are packed greedily in order;
-// an entry that alone exceeds the target is pinned and the next pre-order
+// an entry that alone exceeds the target is pinned and the next
 // frame is split recursively, keeping the emitted morsels in lexicographic
 // odometer order throughout.
 void SplitFrame(PlanCtx& c, size_t frame, uint32_t union_id, double mult) {
@@ -235,111 +236,75 @@ void ParallelEnumerator::Enumerate(
   });
 }
 
-namespace {
-
-// Interpreted emission over a planned enumeration (the pre-PR-7 path and
-// the fallback for mismatching kernels).
-Relation EmitInterpreted(const FRep& rep, const ParallelEnumerator& pe) {
-  if (pe.num_chunks() <= 1) {
-    // Sequential fallback. When the constructor already sized the stream
-    // (small result below the cutoff), hand the estimate over instead of
-    // letting the sequential overload re-run the DP.
-    return pe.plan().est_total > 0
-               ? internal::MaterializeVisibleSized(rep, pe.plan().est_total)
-               : MaterializeVisible(rep);
-  }
-
-  std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
-  Relation out(schema);
-  const size_t arity = schema.size();
-  // Per-chunk value buffers, concatenated in chunk order below — the
-  // pre-sort stream is byte-identical to the sequential enumeration.
-  std::vector<std::vector<Value>> chunks(pe.num_chunks());
-  pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-    ExecContext* const ctx = ExecContext::Current();
-    uint32_t tick = 0;
-    std::vector<Value>& buf = chunks[c];
-    const double est =
-        pe.plan().morsels[c].est_tuples * static_cast<double>(arity);
-    if (est > 0.0 && est < 2e9) buf.reserve(static_cast<size_t>(est));
-    while (en.Next()) {
-      if (ctx != nullptr && (++tick & 8191u) == 0) ctx->CheckCancelled();
-      for (AttrId a : schema) buf.push_back(en.ValueOf(a));
-    }
-  });
-  size_t total_values = 0;
-  for (const std::vector<Value>& b : chunks) total_values += b.size();
-  out.Reserve(arity > 0 ? total_values / arity : 0);
-  for (const std::vector<Value>& b : chunks) out.AppendRows(b);
-  out.SortLex();  // relations are sets: sort + dedup
-  return out;
-}
-
-// Kernel-accelerated emission over a planned enumeration.
-Relation EmitWithKernel(const FRep& rep, const EnumKernel& kernel,
-                        const ParallelEnumerator& pe) {
-  const std::vector<AttrId>& schema = kernel.schema();
-  Relation out(schema);
-  if (rep.empty()) return out;
-  const size_t arity = schema.size();
-  if (arity == 0) {
-    // Fully-invisible (or nullary) stream: the kernel reports the single
-    // collapsed row count without appending values.
-    std::vector<Value> none;
-    const uint64_t rows = kernel.Emit(rep, {}, &none);
-    for (uint64_t r = 0; r < rows; ++r) out.AddTuple({});
-    out.SortLex();
-    return out;
-  }
-  // One kernel run per morsel, restricted by the morsel's bound chain; the
-  // per-chunk buffers concatenate in chunk order to the sequential stream.
-  std::vector<std::vector<Value>> chunks(pe.num_chunks());
-  pe.ForEachChunk([&](size_t c) {
-    const Morsel& m = pe.plan().morsels[c];
-    std::vector<Value>& buf = chunks[c];
-    // Exact presize via the kernel's count mode — it skips the innermost
-    // walk entirely, so it costs a fraction of a percent of the emit and
-    // guarantees the emit never reallocates (the sequential-fallback
-    // morsel carries no estimate, and estimates may run short).
-    buf.reserve(kernel.CountRows(rep, m.bounds) * arity);
-    kernel.Emit(rep, m.bounds, &buf);
-  });
-  // The first chunk moves into the relation (free for the common
-  // single-chunk sequential case); the rest reserve-then-append.
-  size_t total_values = 0;
-  for (const std::vector<Value>& b : chunks) total_values += b.size();
-  out.AdoptRows(std::move(chunks[0]));
-  out.Reserve(total_values / arity);
-  for (size_t c = 1; c < chunks.size(); ++c) out.AppendRows(chunks[c]);
-  out.SortLex();  // relations are sets: sort + dedup
-  return out;
-}
-
-}  // namespace
-
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts) {
-  ParallelEnumerator pe(rep, opts, /*visible_only=*/true);
-  return EmitInterpreted(rep, pe);
-}
-
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
                             const EnumKernel* kernel, QueryTrace* trace) {
-  // Fallback rules: no kernel, a full-tuple (not visible-mode) kernel, or a
-  // shape mismatch (the rep's f-tree differs from the one compiled against)
-  // all route to the interpreted path — the kernel is an accelerator, never
-  // a requirement.
-  const bool use_kernel = kernel != nullptr && kernel->visible_only() &&
-                          kernel->Matches(rep.tree());
+  // Order restructuring: after these swaps the kernel stream is the sorted,
+  // duplicate-free answer (see PlanOutputOrder).
+  std::optional<FRep> restructured;
+  {
+    QueryTrace::Scope span(trace, "order-restructure");
+    const std::vector<PlanStep> swaps = PlanOutputOrder(rep.tree());
+    for (const PlanStep& step : swaps) {
+      restructured = ExecuteStep(restructured ? *restructured : rep, step);
+    }
+    span.SetRows(swaps.size());
+    span.SetBytes((restructured ? *restructured : rep).MemoryBytes());
+  }
+  const FRep& ordered = restructured ? *restructured : rep;
+
+  std::optional<EnumKernel> compiled;
+  if (kernel == nullptr || !kernel->visible_only() ||
+      !kernel->Matches(ordered.tree())) {
+    compiled.emplace(EnumKernel::Compile(ordered.tree(), /*visible_only=*/true,
+                                         trace));
+    kernel = &*compiled;
+  }
   std::optional<ParallelEnumerator> pe;
   {
-    QueryTrace::Scope plan_span(trace, "morsel-plan");
-    pe.emplace(rep, opts, /*visible_only=*/true);
-    plan_span.SetRows(pe->num_chunks());
+    QueryTrace::Scope span(trace, "morsel-plan");
+    pe.emplace(ordered, opts, /*visible_only=*/true);
+    span.SetRows(pe->num_chunks());
   }
-  QueryTrace::Scope enum_span(trace, "enumerate");
-  Relation out =
-      use_kernel ? EmitWithKernel(rep, *kernel, *pe) : EmitInterpreted(rep, *pe);
-  enum_span.SetRows(out.size());
+
+  QueryTrace::Scope span(trace, "emit");
+  Relation out(kernel->schema());
+  const size_t arity = out.arity();
+  if (arity == 0) {
+    // Nullary or fully invisible: the kernel reports the single empty row
+    // (none for the empty rep) without appending values.
+    std::vector<Value> none;
+    if (kernel->Emit(ordered, {}, &none) > 0) out.AddTuple({});
+    span.SetRows(out.size());
+    return out;
+  }
+  const std::vector<Morsel>& morsels = pe->plan().morsels;
+  if (morsels.size() == 1) {
+    // Sequential: append straight into the relation's storage, presized
+    // exactly by the kernel's count mode (a fraction of a percent of the
+    // emit) so the emit never reallocates.
+    std::vector<Value> buf;
+    pe->ForEachChunk([&](size_t) {
+      buf.reserve(kernel->CountRows(ordered, morsels[0].bounds) * arity);
+      kernel->Emit(ordered, morsels[0].bounds, &buf);
+    });
+    out.AdoptRows(std::move(buf));
+  } else if (morsels.size() > 1) {
+    // One kernel run per morsel, each written into its own slice of one
+    // shared buffer: morsels partition the stream in order, so the slices
+    // concatenate to the sequential stream with no copy.
+    std::vector<size_t> offset(morsels.size() + 1, 0);
+    for (size_t c = 0; c < morsels.size(); ++c) {
+      offset[c + 1] =
+          offset[c] + kernel->CountRows(ordered, morsels[c].bounds) * arity;
+    }
+    std::vector<Value> buf(offset.back());
+    pe->ForEachChunk([&](size_t c) {
+      kernel->EmitTo(ordered, morsels[c].bounds, buf.data() + offset[c]);
+    });
+    out.AdoptRows(std::move(buf));
+  }
+  span.SetRows(out.size());
+  FDB_VALIDATE_INCREASING(out);
   return out;
 }
 

@@ -2,7 +2,7 @@
 // from f-representations.
 //
 // Constant-delay enumeration (core/enumerate.h) is a lexicographic
-// odometer over the pre-order frames of the f-tree, which makes it
+// odometer over the parent-first frames of the f-tree, which makes it
 // embarrassingly partitionable over the *top* frames: restricting the
 // first frame's union to an entry range [b, e) — and, when one entry
 // dominates, pinning it and recursing one level down — carves the tuple
@@ -19,6 +19,11 @@
 // sequential enumeration byte for byte, regardless of thread count or
 // scheduling (tests/parallel_enumerate_test.cc asserts this tuple for
 // tuple; the TSan CI job runs it under ThreadSanitizer).
+//
+// The MaterializeVisible sink builds on that: it restructures the result
+// into output order (core/fplan.h PlanOutputOrder), after which the
+// sequential stream is already sorted and duplicate-free, so the
+// concatenated morsel output is the final relation — no sort, no dedup.
 #ifndef FDB_CORE_PARALLEL_ENUMERATE_H_
 #define FDB_CORE_PARALLEL_ENUMERATE_H_
 
@@ -55,7 +60,7 @@ struct EnumerateOptions {
   double target_morsel_tuples = 0;
 };
 
-/// One work slice: a restriction chain on the top pre-order frames (see
+/// One work slice: a restriction chain on the top frames (see
 /// the TupleEnumerator bounds constructor) plus its estimated output.
 /// An empty bounds vector denotes the whole stream.
 struct Morsel {
@@ -121,22 +126,31 @@ class ParallelEnumerator {
   MorselPlan plan_;
 };
 
-/// Parallel MaterializeVisible: identical output to the sequential
-/// overload in core/enumerate.h (same rows, same sort), enumerated on up
-/// to opts.threads cores for large representations.
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts);
-
-/// Kernel-accelerated MaterializeVisible: when `kernel` is a visible-mode
-/// kernel whose compiled shape matches rep.tree() (EnumKernel::Matches),
-/// rows are emitted by one kernel run per morsel — extraction fused into
-/// emission — on up to opts.threads cores; otherwise rows come from the
-/// interpreted enumerator (null kernels are fine). Output is identical
-/// either way. A non-null `trace` records a "morsel-plan" span (rows =
-/// chunk count) and an "enumerate" span (rows = output rows), both opened
-/// on the calling thread around the whole fan-out — per-morsel work is
-/// aggregated, never one span per morsel (common/trace.h).
-Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,
-                            const EnumKernel* kernel,
+/// Materialises the visible part of `rep` as a relation whose schema is
+/// the visible attributes in increasing id order, rows strictly
+/// increasing in lexicographic order (sorted, no duplicates) — without
+/// sorting or deduplicating. The sink runs:
+///   1. order restructuring: the swaps of PlanOutputOrder (core/fplan.h),
+///      executed on `rep` — none when its tree is already in output
+///      order. Their arena growth is charged to the ambient ExecContext
+///      budget like any operator's;
+///   2. a visible-mode EnumKernel for the restructured tree: `kernel` when
+///      it matches that tree (EnumKernel::Matches), otherwise one compiled
+///      on the spot (a few microseconds), so null is always fine;
+///   3. morsel planning and one kernel run per morsel on up to
+///      opts.threads cores (the default argument runs sequentially on the
+///      caller), each writing its slice of one output buffer in morsel
+///      order.
+/// The result is identical for every thread count and every kernel
+/// argument. A non-null `trace` records "order-restructure" (rows = swaps
+/// applied, bytes = restructured rep), "kernel-compile" (when compiled
+/// here), "morsel-plan" (rows = morsels) and "emit" (rows = rows out)
+/// spans, all opened on the calling thread around the whole fan-out —
+/// per-morsel work is aggregated, never one span per morsel
+/// (common/trace.h).
+Relation MaterializeVisible(const FRep& rep,
+                            const EnumerateOptions& opts = {.threads = 1},
+                            const EnumKernel* kernel = nullptr,
                             QueryTrace* trace = nullptr);
 
 }  // namespace fdb

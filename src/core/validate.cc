@@ -559,4 +559,17 @@ void ValidateMorselPlan(const FRep& rep, bool visible_only,
   CheckMorsels(rep, visible_only, plan);
 }
 
+void ValidateStrictlyIncreasing(const Relation& r) {
+  if (r.arity() == 0) return;
+  for (size_t row = 1; row < r.size(); ++row) {
+    const std::span<const Value> prev = r.Row(row - 1), cur = r.Row(row);
+    if (!std::lexicographical_compare(prev.begin(), prev.end(), cur.begin(),
+                                      cur.end())) {
+      std::ostringstream os;
+      os << "row " << row << " is not greater than row " << row - 1;
+      Fail("ValidateStrictlyIncreasing", os.str());
+    }
+  }
+}
+
 }  // namespace fdb

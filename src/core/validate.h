@@ -8,7 +8,8 @@
 // child references (which would send the CountTuples DP and the enumerators
 // into unbounded recursion long before any shallow check fires), and extend
 // the checks to the derived structures built on top of f-representations —
-// grouped aggregates (GroupedRep) and morsel plans (MorselPlan).
+// grouped aggregates (GroupedRep) and morsel plans (MorselPlan), and to
+// the rows the materialisation sink emits.
 //
 // All validators throw FdbError with a diagnostic naming the offending
 // object (union id, morsel index, spec index) and the violated invariant,
@@ -27,6 +28,7 @@
 #include "core/frep.h"
 #include "core/ftree.h"
 #include "core/parallel_enumerate.h"
+#include "storage/relation.h"
 
 namespace fdb {
 
@@ -61,6 +63,12 @@ void ValidateGroupedRep(const GroupedRep& g);
 void ValidateMorselPlan(const FRep& rep, bool visible_only,
                         const MorselPlan& plan);
 
+/// Sink-output check: the rows of `r` are strictly increasing in
+/// lexicographic column order — sorted and duplicate-free, the contract
+/// of MaterializeVisible (core/parallel_enumerate.h). A nullary relation
+/// holds at most one row by construction and always passes.
+void ValidateStrictlyIncreasing(const Relation& r);
+
 }  // namespace fdb
 
 // Operator-boundary hooks: active only under FDB_VALIDATE (Debug/ASan
@@ -72,11 +80,13 @@ void ValidateMorselPlan(const FRep& rep, bool visible_only,
 #define FDB_VALIDATE_GROUPED(g) ::fdb::ValidateGroupedRep(g)
 #define FDB_VALIDATE_MORSELS(rep, visible_only, plan) \
   ::fdb::ValidateMorselPlan((rep), (visible_only), (plan))
+#define FDB_VALIDATE_INCREASING(rel) ::fdb::ValidateStrictlyIncreasing(rel)
 #else
 #define FDB_VALIDATE_REP(rep) ((void)0)
 #define FDB_VALIDATE_TREE(t) ((void)0)
 #define FDB_VALIDATE_GROUPED(g) ((void)0)
 #define FDB_VALIDATE_MORSELS(rep, visible_only, plan) ((void)0)
+#define FDB_VALIDATE_INCREASING(rel) ((void)0)
 #endif
 
 #endif  // FDB_CORE_VALIDATE_H_

@@ -40,12 +40,13 @@ struct CachedPlan {
   Query query;               ///< parsed query, literals interned
   FTreeSearchResult search;  ///< optimal f-tree for the query's SPJ core
 
-  /// Compiled enumeration kernel (core/kernel.h), specialised to the shape
-  /// of the first execution's result f-tree in visible-only mode. Null for
-  /// aggregate queries (their output is a grouped table, not an enumerated
-  /// stream). Consumers must check EnumKernel::Matches against the result
-  /// tree they hold — the kernel-aware MaterializeVisible overload does —
-  /// and fall back to interpreted enumeration on a mismatch.
+  /// Compiled enumeration kernel (core/kernel.h) in visible-only mode,
+  /// specialised to the output-order restructuring (PlanOutputOrder,
+  /// core/fplan.h) of the first execution's result f-tree — the tree the
+  /// MaterializeVisible sink emits from. Null for aggregate queries (their
+  /// output is a grouped table, not an enumerated stream). The sink checks
+  /// EnumKernel::Matches against the tree it restructured and compiles a
+  /// fresh kernel on a mismatch.
   std::shared_ptr<const EnumKernel> kernel;
 };
 

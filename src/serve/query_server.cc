@@ -7,6 +7,7 @@
 
 #include "common/fault.h"
 #include "common/thread_pool.h"
+#include "core/fplan.h"
 #include "core/kernel.h"
 
 namespace fdb {
@@ -295,13 +296,17 @@ void QueryServer::ExecuteGroup(Group& group) {
     if (fresh != nullptr) {
       // Publish only after the first successful execution: failing plans
       // are never cached, and the result's f-tree is now known, so a
-      // compiled enumeration kernel specialised to it can ride along
-      // (SPJ only — aggregate output is a grouped table, not a stream).
-      // Inserting before the waiters are fulfilled keeps the sequential
-      // repeat guarantee: a client that has its answer hits the cache.
+      // compiled enumeration kernel specialised to its output-order
+      // restructuring (the tree the MaterializeVisible sink emits from)
+      // can ride along (SPJ only — aggregate output is a grouped table,
+      // not a stream). Inserting before the waiters are fulfilled keeps
+      // the sequential repeat guarantee: a client that has its answer hits
+      // the cache.
       if (!fresh->query.IsAggregate()) {
-        fresh->kernel = std::make_shared<const EnumKernel>(EnumKernel::Compile(
-            result.rep.tree(), /*visible_only=*/true, tp));
+        FTree ordered;
+        PlanOutputOrder(result.rep.tree(), &ordered);
+        fresh->kernel = std::make_shared<const EnumKernel>(
+            EnumKernel::Compile(ordered, /*visible_only=*/true, tp));
         built_kernel = true;
       }
       cache_.Insert(group.signature, version, std::move(fresh));

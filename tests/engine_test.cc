@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/print.h"
 #include "test_util.h"
 
@@ -132,6 +133,73 @@ TEST_F(EngineTest, EvaluateOnFRepWithConstAndProjection) {
   q1.projection = keep;
   RdbResult rdb = engine_.ExecuteRdb(q1);
   EXPECT_TRUE(SameRelation(res.rep, rdb.relation));
+}
+
+// Equality-with-constant selections mark their node constant and normalise
+// the f-tree, so EvaluateOnFRep must optimise its f-plan on the tree the
+// selections leave behind, not on the input tree. Seeded many-to-many star
+// S(sa, sb) x T(tb, tc); constants are drawn from the data so most results
+// are non-empty.
+TEST(EngineEqSelections, ConstEqualitiesOnFRepsMatchRdb) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    Database db;
+    const RelId s = db.CreateRelation("S", {"sa", "sb"});
+    const RelId t = db.CreateRelation("T", {"tb", "tc"});
+    Rng rng(seed);
+    const int64_t n = 60, domain = 6;
+    for (int64_t i = 1; i <= n; ++i) {
+      db.relation(s).AddTuple({i, rng.Uniform(1, domain)});
+      db.relation(t).AddTuple({rng.Uniform(1, domain), i});
+    }
+    Engine engine(&db);
+    const AttrId sa = db.Attr("sa"), sb = db.Attr("sb"), tb = db.Attr("tb"),
+                 tc = db.Attr("tc");
+    Query join;
+    join.rels = {s, t};
+    join.equalities = {{sb, tb}};
+    Query product;
+    product.rels = {s, t};
+    const FRep join_rep = engine.EvaluateFlat(join).rep;
+    const FRep product_rep = engine.EvaluateFlat(product).rep;
+
+    struct Case {
+      const FRep* base;
+      const Query* base_query;
+      std::vector<std::pair<AttrId, AttrId>> eqs;
+      std::vector<ConstPred> preds;
+      AttrSet projection;
+    };
+    auto pick = [&] { return rng.Uniform(1, n); };
+    const std::vector<Case> cases = {
+        {&join_rep, &join, {{sa, tc}}, {{sa, CmpOp::kEq, pick()}}, {}},
+        {&join_rep, &join, {{sa, tc}}, {{sa, CmpOp::kEq, pick()}},
+         AttrSet::Of({sa, sb})},
+        {&join_rep, &join, {{sa, tc}}, {{tc, CmpOp::kEq, pick()}},
+         AttrSet::Of({sb, tc})},
+        {&join_rep, &join, {{sb, tc}}, {{sa, CmpOp::kEq, pick()}},
+         AttrSet::Of({sa, tc})},
+        {&join_rep, &join, {}, {{sb, CmpOp::kEq, rng.Uniform(1, domain)}}, {}},
+        {&product_rep, &product, {{sb, tb}},
+         {{sa, CmpOp::kEq, pick()}, {tc, CmpOp::kEq, pick()}}, {}},
+        {&product_rep, &product, {{sb, tb}}, {{sa, CmpOp::kEq, pick()}},
+         AttrSet::Of({sa, tb})},
+        {&product_rep, &product, {{sb, tb}, {sa, tc}},
+         {{tc, CmpOp::kEq, pick()}}, {}},
+    };
+    for (size_t c = 0; c < cases.size(); ++c) {
+      const Case& k = cases[c];
+      FdbResult res =
+          engine.EvaluateOnFRep(*k.base, k.eqs, k.preds, k.projection);
+      res.rep.Validate();
+      Query q = *k.base_query;
+      q.equalities.insert(q.equalities.end(), k.eqs.begin(), k.eqs.end());
+      q.const_preds = k.preds;
+      q.projection = k.projection;
+      EXPECT_TRUE(SameRelation(res.rep, engine.ExecuteRdb(q).relation))
+          << "seed " << seed << " case " << c << ": "
+          << res.plan.ToString(&db.catalog());
+    }
+  }
 }
 
 TEST_F(EngineTest, VdbAgreesOnGrocery) {

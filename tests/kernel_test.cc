@@ -1,11 +1,12 @@
 // Compiled enumeration kernels and the SIMD arena-scan primitives.
 //
 // The kernel contract is byte-identity: for every representation shape,
-// visibility mode and morsel restriction, EnumKernel::Emit must reproduce
-// the interpreted TupleEnumerator stream value for value, and the
-// kernel-aware MaterializeVisible must equal the interpreted overload for
-// every thread count. The SIMD primitives are checked against their
-// std:: reference implementations on randomised windows. Runs under
+// visibility mode and morsel restriction, EnumKernel::Emit and EmitTo must
+// reproduce the interpreted TupleEnumerator stream value for value, and
+// MaterializeVisible must give the same relation for every thread count
+// whether it is handed a matching, mismatching or null kernel. The SIMD
+// primitives are checked against their std:: reference implementations on
+// randomised windows. Runs under
 // ASan/TSan/UBSan in CI alongside the serve suite.
 #include <algorithm>
 #include <cstdint>
@@ -207,10 +208,20 @@ void CheckKernel(const FRep& rep) {
       EXPECT_EQ(chunked, expect)
           << "visible_only=" << visible_only << " target=" << target;
       EXPECT_EQ(rows, expect_rows);
+      // EmitTo writes each morsel into its slice of one presized buffer.
+      std::vector<Value> sliced(expect.size());
+      size_t at = 0;
+      for (const Morsel& m : plan.morsels) {
+        const uint64_t r = k.EmitTo(rep, m.bounds, sliced.data() + at);
+        at += static_cast<size_t>(r) * k.schema().size();
+      }
+      EXPECT_EQ(sliced, expect)
+          << "visible_only=" << visible_only << " target=" << target;
     }
   }
-  // The kernel-aware materialiser equals the interpreted one for every
-  // thread count (and for the null-kernel fallback).
+  // The sink gives the same relation for every thread count, with a
+  // kernel compiled for the unrestructured tree (it recompiles when the
+  // sink restructures) and with none.
   EnumKernel vk = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
   const Relation seq = MaterializeVisible(rep);
   for (int threads : {1, 2, 8}) {
@@ -317,7 +328,8 @@ TEST(Kernel, MismatchedShapeFallsBack) {
   FRep other = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
   EnumKernel wrong = EnumKernel::Compile(other.tree(), /*visible_only=*/true);
   EXPECT_FALSE(wrong.Matches(rep.tree()));
-  // A full-tuple kernel is also rejected by the visible-only materialiser.
+  // Neither a mismatching nor a full-tuple kernel is run: the sink
+  // compiles its own.
   EnumKernel full = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
   const Relation seq = MaterializeVisible(rep);
   EnumerateOptions opts;

@@ -2,8 +2,9 @@
 // stream exactly, and ParallelEnumerator's chunks — concatenated in chunk
 // order — must reproduce the sequential TupleEnumerator stream tuple for
 // tuple, for every thread count, morsel size, visibility mode and rep
-// shape (including empty and nullary reps). Runs under ThreadSanitizer in
-// CI alongside the serve suite.
+// shape (including empty and nullary reps). The MaterializeVisible sink is
+// checked differentially against the flat baseline on seeded random
+// instances. Runs under ThreadSanitizer in CI alongside the serve suite.
 #include <algorithm>
 #include <mutex>
 #include <vector>
@@ -12,13 +13,16 @@
 
 #include "api/database.h"
 #include "api/engine.h"
+#include "common/exec_context.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/aggregate.h"
 #include "core/enumerate.h"
+#include "core/fplan.h"
 #include "core/ground.h"
 #include "core/ops.h"
 #include "core/parallel_enumerate.h"
+#include "storage/query.h"
 #include "test_util.h"
 
 namespace fdb {
@@ -342,6 +346,235 @@ TEST(ParallelEnumerate, PlanCoversStreamExactly) {
     streamed += local;
   });
   EXPECT_EQ(static_cast<double>(streamed), rep.CountTuples());
+}
+
+// ---------------------------------------------------------------------------
+// Differential sink test: MaterializeVisible against ExecuteRdb.
+// ---------------------------------------------------------------------------
+
+bool StrictlyIncreasing(const Relation& r) {
+  for (size_t row = 1; row < r.size(); ++row) {
+    const std::span<const Value> a = r.Row(row - 1), b = r.Row(row);
+    if (!std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                      b.end())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The canonical answer: the baseline's rows over `schema` (ascending
+// attribute ids), sorted and deduplicated.
+Relation Canonical(const Relation& flat, const std::vector<AttrId>& schema) {
+  Relation out(schema);
+  if (schema.empty()) {
+    if (!flat.empty()) out.AddTuple({});
+    return out;
+  }
+  std::vector<size_t> cols;
+  for (AttrId a : schema) cols.push_back(flat.ColumnOf(a));
+  std::vector<Value> t(schema.size());
+  for (size_t r = 0; r < flat.size(); ++r) {
+    for (size_t c = 0; c < cols.size(); ++c) t[c] = flat.At(r, cols[c]);
+    out.AddTuple(t);
+  }
+  out.SortLex();
+  return out;
+}
+
+// True when the visible-only frames of `t` are not a depth-first order:
+// some frame's parent is not on the path to the frame before it.
+bool InterleavedFrames(const FTree& t) {
+  std::vector<char> keep = VisibleKeepMask(t);
+  std::vector<PreOrderFrame> frames = BuildPreOrderFrames(t, &keep);
+  for (size_t i = 1; i < frames.size(); ++i) {
+    const int p = t.node(frames[i].node).parent;
+    const int prev = frames[i - 1].node;
+    if (p != -1 && p != prev && !t.IsAncestor(p, prev)) return true;
+  }
+  return false;
+}
+
+bool HasInvisibleInnerNode(const FTree& t) {
+  const std::vector<char> keep = VisibleKeepMask(t);
+  for (int n : t.AliveNodes()) {
+    if (t.node(n).visible.Empty() && keep[static_cast<size_t>(n)]) return true;
+  }
+  return false;
+}
+
+// Seeded random instances: 1-4 relations of arity 1-2 over a small domain
+// (attribute ids follow creation order, so unary relations placed under
+// one another interleave with the rest of the forest), random equalities,
+// a random f-tree shape satisfying the path constraint, deferred
+// projection (invisible inner nodes), constant selections at grounding and
+// through SelectConst, empty results and fully invisible (nullary) ones.
+// At 1, 2 and 8 threads with tiny morsels the sink must emit strictly
+// increasing rows equal to the canonical ExecuteRdb answer.
+TEST(SinkDifferential, MatchesRdbOnRandomInstances) {
+  int restructured = 0, interleaved = 0, invisible_inner = 0, empty = 0,
+      nullary = 0, selected = 0;
+  for (uint64_t seed = 1; seed <= 120; ++seed) {
+    Rng rng(seed);
+    Database db;
+    Query q;
+    std::vector<AttrId> attrs;
+    const int nrels = static_cast<int>(rng.Uniform(1, 4));
+    for (int r = 0; r < nrels; ++r) {
+      const int arity = static_cast<int>(rng.Uniform(1, 2));
+      std::vector<std::string> cols;
+      for (int c = 0; c < arity; ++c) {
+        cols.push_back("r" + std::to_string(r) + "c" + std::to_string(c));
+      }
+      const RelId rel = db.CreateRelation("R" + std::to_string(r), cols);
+      q.rels.push_back(rel);
+      for (const std::string& c : cols) attrs.push_back(db.Attr(c));
+      const int64_t rows = rng.Uniform(1, 9);
+      for (int64_t i = 0; i < rows; ++i) {
+        std::vector<Value> t(static_cast<size_t>(arity));
+        for (Value& v : t) v = rng.Uniform(1, 4);
+        db.relation(rel).AddTuple(t);
+      }
+    }
+    auto any_attr = [&] {
+      return attrs[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(attrs.size()) - 1))];
+    };
+    if (attrs.size() > 1 && rng.Uniform(0, 2) == 0) {
+      const AttrId a = any_attr(), b = any_attr();
+      if (a != b) q.equalities.push_back({a, b});
+    }
+    if (rng.Uniform(0, 3) == 0) {  // at grounding; 0 matches nothing
+      q.const_preds.push_back(
+          {any_attr(), rng.Uniform(0, 1) ? CmpOp::kLe : CmpOp::kEq,
+           rng.Uniform(0, 4)});
+    }
+    for (AttrId a : attrs) {
+      if (rng.Uniform(0, 2) > 0) q.projection.Add(a);
+    }
+
+    const QueryInfo info = AnalyzeQuery(db.catalog(), q);
+    // Random forests until one satisfies the path constraint; a single
+    // path (the last attempt) always does.
+    FTree tree;
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      std::vector<int> perm(info.classes.size());
+      for (size_t i = 0; i < perm.size(); ++i) perm[i] = static_cast<int>(i);
+      rng.Shuffle(perm);
+      std::vector<int> parent_of(perm.size(), -1);
+      for (size_t i = 1; i < perm.size(); ++i) {
+        const int64_t j = attempt == 19
+                              ? static_cast<int64_t>(i) - 1
+                              : rng.Uniform(-1, static_cast<int64_t>(i) - 1);
+        parent_of[static_cast<size_t>(perm[i])] =
+            j < 0 ? -1 : perm[static_cast<size_t>(j)];
+      }
+      tree = FTreeFromShape(info, info.classes, parent_of);
+      if (tree.SatisfiesPathConstraint()) break;
+    }
+    ASSERT_TRUE(tree.SatisfiesPathConstraint()) << "seed " << seed;
+    const bool all_invisible = rng.Uniform(0, 9) == 0;
+    if (all_invisible) {
+      for (int n : tree.AliveNodes()) tree.node(n).visible = {};
+    }
+    FRep rep = GroundQuery(tree, db.RelationPtrs(q.rels), q.const_preds);
+    if (rng.Uniform(0, 3) == 0) {  // through the f-plan operator
+      const ConstPred p{any_attr(), rng.Uniform(0, 1) ? CmpOp::kGe : CmpOp::kEq,
+                        rng.Uniform(1, 4)};
+      rep = SelectConst(rep, p.attr, p.op, p.value);
+      q.const_preds.push_back(p);
+      ++selected;
+    }
+
+    const std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
+    Query flat_q = q;
+    flat_q.projection = AttrSet::FromVector(schema);
+    if (schema.empty()) flat_q.projection = {};
+    const Relation expect =
+        Canonical(Engine(&db).ExecuteRdb(flat_q).relation, schema);
+
+    restructured += PlanOutputOrder(rep.tree()).empty() ? 0 : 1;
+    interleaved += InterleavedFrames(rep.tree()) ? 1 : 0;
+    invisible_inner += HasInvisibleInnerNode(rep.tree()) ? 1 : 0;
+    empty += rep.empty() ? 1 : 0;
+    nullary += schema.empty() && !rep.empty() ? 1 : 0;
+    for (int threads : {1, 2, 8}) {
+      for (double morsel : {1.0, 3.0}) {
+        EnumerateOptions opts;
+        opts.threads = threads;
+        opts.parallel_cutoff = 0;
+        opts.target_morsel_tuples = morsel;
+        const Relation got = MaterializeVisible(rep, opts);
+        EXPECT_TRUE(StrictlyIncreasing(got)) << "seed " << seed;
+        EXPECT_TRUE(got == expect)
+            << "seed " << seed << " threads " << threads << " morsel "
+            << morsel << "\n"
+            << rep.tree().ToString(&db.catalog());
+      }
+    }
+  }
+  // Every shape the sink must handle actually occurred.
+  EXPECT_GT(restructured, 0);
+  EXPECT_GT(interleaved, 0);
+  EXPECT_GT(invisible_inner, 0);
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(nullary, 0);
+  EXPECT_GT(selected, 0);
+}
+
+TEST(SinkDifferential, OrderSwapsChargeTheBudget) {
+  // S(a, b) |x| T(b2, c) grounds with the join class {b, b2} on top; output
+  // order lifts a above it with one swap, whose arena growth the ambient
+  // budget sees. A path tree in attribute order needs no swap and charges
+  // nothing.
+  Database db;
+  RelId s = db.CreateRelation("S", {"a", "b"});
+  RelId t = db.CreateRelation("T", {"b2", "c"});
+  Rng rng(5);
+  for (int64_t i = 1; i <= 200; ++i) {
+    db.relation(s).AddTuple({i, rng.Uniform(1, 8)});
+    db.relation(t).AddTuple({rng.Uniform(1, 8), i});
+  }
+  Engine engine(&db);
+  Query q;
+  q.rels = {s, t};
+  q.equalities = {{db.Attr("b"), db.Attr("b2")}};
+  const FRep star = engine.EvaluateFlat(q).rep;
+  ASSERT_EQ(PlanOutputOrder(star.tree()).size(), 1u);
+  const Relation expect = MaterializeVisible(star);
+  {
+    ExecContext ctx;
+    ExecContext::Scope scope(&ctx);
+    EXPECT_TRUE(MaterializeVisible(star) == expect);
+    EXPECT_GT(ctx.budget().charged(), 0u);
+  }
+  {
+    ExecContext ctx;
+    ctx.budget().set_limit(1024);
+    ExecContext::Scope scope(&ctx);
+    EXPECT_THROW(MaterializeVisible(star), FdbResourceExhausted);
+  }
+  const FRep path = GroundRelation(RandomRelation({0, 1, 2}, 100, 6, 9), 0);
+  ASSERT_TRUE(PlanOutputOrder(path.tree()).empty());
+  ExecContext ctx;
+  ExecContext::Scope scope(&ctx);
+  MaterializeVisible(path);
+  EXPECT_EQ(ctx.budget().charged(), 0u);
+}
+
+TEST(SinkDifferential, NullaryRep) {
+  FRep rep{FTree{}};
+  rep.MarkNonEmpty();
+  for (int threads : {1, 2, 8}) {
+    EnumerateOptions opts;
+    opts.threads = threads;
+    opts.parallel_cutoff = 0;
+    opts.target_morsel_tuples = 1.0;
+    const Relation got = MaterializeVisible(rep, opts);
+    EXPECT_EQ(got.arity(), 0u);
+    EXPECT_EQ(got.size(), 1u);
+  }
+  EXPECT_EQ(MaterializeVisible(FRep{FTree{}}).size(), 0u);
 }
 
 }  // namespace

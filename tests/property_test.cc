@@ -1,12 +1,16 @@
 // Property-based tests: on random databases and random SPJ queries, FDB's
 // factorised evaluation must agree tuple-for-tuple with the flat baselines,
-// restructuring operators must preserve the represented relation, and the
-// size bound |E| = O(|D|^{s(T)}) must hold on observed data.
+// restructuring operators must preserve the represented relation, output-
+// order restructuring must make the plain odometer stream sorted and
+// duplicate-free, and the size bound |E| = O(|D|^{s(T)}) must hold on
+// observed data.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/enumerate.h"
+#include "core/fplan.h"
 #include "core/ops.h"
 #include "opt/ftree_search.h"
 #include "opt/fplan_search.h"
@@ -161,6 +165,80 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{3, 8, 3, Distribution::kZipf, 23},
                       Params{4, 9, 3, Distribution::kUniform, 24},
                       Params{4, 10, 4, Distribution::kZipf, 25}),
+    ParamName);
+
+class OutputOrder : public ::testing::TestWithParam<Params> {};
+
+// PlanOutputOrder on optimal f-trees of random queries with a random
+// deferred projection (invisible nodes, inner ones included): the planned
+// tree is in output order, executing the swaps yields exactly that tree,
+// and the visible-only odometer over the result — no sink, no sort — is
+// strictly increasing and spells the input's distinct visible tuples.
+TEST_P(OutputOrder, SwapsYieldSortedDuplicateFreeStream) {
+  const Params& p = GetParam();
+  WorkloadSpec spec;
+  spec.num_rels = p.rels;
+  spec.num_attrs = p.attrs;
+  spec.tuples_per_rel = 25;
+  spec.domain = 5;
+  spec.dist = p.dist;
+  spec.num_equalities = p.eqs;
+  spec.seed = p.seed;
+  GeneratedWorkload w = GenerateWorkload(spec);
+  std::vector<const Relation*> rels;
+  for (const Relation& r : w.relations) rels.push_back(&r);
+  QueryInfo info = AnalyzeQuery(w.catalog, w.query);
+  EdgeCoverSolver solver;
+  FRep rep = GroundQuery(FindOptimalFTree(info, solver).tree, rels);
+  Rng rng(p.seed * 31 + 5);
+  for (int n : rep.tree().AliveNodes()) {
+    if (rng.Uniform(0, 2) == 0) rep.tree().node(n).visible = {};
+  }
+
+  FTree ordered;
+  const std::vector<PlanStep> steps = PlanOutputOrder(rep.tree(), &ordered);
+  for (int n : ordered.AliveNodes()) {
+    const int parent = ordered.node(n).parent;
+    if (parent == -1) continue;
+    const AttrId kp = FrameOrderKey(ordered, parent);
+    const AttrId kn = FrameOrderKey(ordered, n);
+    EXPECT_TRUE(kp < kn || (kp == kMaxAttrs && kn == kMaxAttrs))
+        << "node " << n << " below a larger key";
+  }
+  FRep out = rep;
+  for (const PlanStep& step : steps) out = ExecuteStep(out, step);
+  out.Validate();
+  EXPECT_EQ(out.tree().CanonicalKey(), ordered.CanonicalKey());
+
+  const std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
+  auto stream = [&schema](const FRep& r) {
+    std::vector<std::vector<Value>> rows;
+    TupleEnumerator en(r, /*visible_only=*/true);
+    while (en.Next()) {
+      std::vector<Value> t;
+      for (AttrId a : schema) t.push_back(en.ValueOf(a));
+      rows.push_back(std::move(t));
+    }
+    return rows;
+  };
+  const std::vector<std::vector<Value>> in_rows = stream(rep);
+  const std::set<std::vector<Value>> expect(in_rows.begin(), in_rows.end());
+  const std::vector<std::vector<Value>> got = stream(out);
+  for (size_t i = 1; i < got.size(); ++i) {
+    ASSERT_LT(got[i - 1], got[i]) << "row " << i;
+  }
+  EXPECT_EQ(std::set<std::vector<Value>>(got.begin(), got.end()), expect);
+  EXPECT_EQ(got.size(), expect.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, OutputOrder,
+    ::testing::Values(Params{2, 5, 1, Distribution::kUniform, 51},
+                      Params{3, 7, 2, Distribution::kUniform, 52},
+                      Params{3, 8, 3, Distribution::kZipf, 53},
+                      Params{4, 9, 3, Distribution::kUniform, 54},
+                      Params{4, 10, 4, Distribution::kZipf, 55},
+                      Params{5, 11, 4, Distribution::kUniform, 56}),
     ParamName);
 
 class FactorisedQueries : public ::testing::TestWithParam<Params> {};

@@ -584,8 +584,8 @@ TEST(QueryServer, ExplainAnalyzeServesSpanTree) {
   ASSERT_EQ(static_cast<int>(cold.status), static_cast<int>(ServeStatus::kOk));
   EXPECT_EQ(cold.body.rfind("EXPLAIN ANALYZE\n", 0), 0u);
   for (const char* span : {"serve", "normalize", "plan-cache-lookup", "parse",
-                           "f-tree-search", "ground", "morsel-plan",
-                           "enumerate", "-- total"}) {
+                           "f-tree-search", "ground", "order-restructure",
+                           "morsel-plan", "emit", "-- total"}) {
     EXPECT_NE(cold.body.find(span), std::string::npos) << span;
   }
 
@@ -596,6 +596,10 @@ TEST(QueryServer, ExplainAnalyzeServesSpanTree) {
   EXPECT_EQ(warm.body.find("f-tree-search"), std::string::npos);
   EXPECT_EQ(warm.body.find("parse"), std::string::npos);
   EXPECT_NE(warm.body.find("ground"), std::string::npos);
+  // The cached kernel was compiled against the output-order tree the sink
+  // emits from, so the warm sink runs it instead of compiling its own.
+  EXPECT_NE(warm.body.find("order-restructure"), std::string::npos);
+  EXPECT_EQ(warm.body.find("kernel-compile"), std::string::npos);
   EXPECT_GE(server.stats().plan_cache.hits, 1u);
 
   // The traced run is a real execution: the plain query still serves

@@ -151,7 +151,7 @@ TEST(QueryTrace, RenderFormat) {
   int g = t.OpenSpan("ground");
   t.SetBytes(g, 2048);
   t.CloseSpan(g, 0.002);
-  int e = t.OpenSpan("enumerate");
+  int e = t.OpenSpan("emit");
   t.SetRows(e, 7);
   t.CloseSpan(e, 0.001);
   t.CloseSpan(root, 0.004);
@@ -160,7 +160,7 @@ TEST(QueryTrace, RenderFormat) {
             "EXPLAIN ANALYZE\n"
             "query  T\n"
             "  ground  T bytes=2048\n"
-            "  enumerate  T rows=7\n"
+            "  emit  T rows=7\n"
             "-- total\n");
 }
 
@@ -204,16 +204,27 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   ASSERT_TRUE(spans.count("query"));
   ASSERT_TRUE(spans.count("f-tree-search"));
   ASSERT_TRUE(spans.count("ground"));
+  ASSERT_TRUE(spans.count("order-restructure"));
   ASSERT_TRUE(spans.count("morsel-plan"));
-  ASSERT_TRUE(spans.count("enumerate"));
+  ASSERT_TRUE(spans.count("emit"));
+  EXPECT_FALSE(spans.count("enumerate"));  // split into the two spans above
   const auto& all = trace.spans();
   int root = spans["query"];
   EXPECT_EQ(all[root].parent, -1);
   EXPECT_EQ(all[spans["ground"]].parent, root);
   EXPECT_TRUE(all[spans["ground"]].has_bytes);
   EXPECT_GT(all[spans["ground"]].bytes, 0u);
-  EXPECT_TRUE(all[spans["enumerate"]].has_rows);
-  EXPECT_EQ(all[spans["enumerate"]].rows, 4u);  // the demo join has 4 rows
+  // The optimal tree is {item,sitem} over oid and warehouse; output order
+  // (oid first) takes one swap, and the restructured rep has a size.
+  const QueryTrace::Span& order = all[spans["order-restructure"]];
+  EXPECT_EQ(order.parent, root);
+  EXPECT_TRUE(order.has_rows);
+  EXPECT_EQ(order.rows, 1u);
+  EXPECT_TRUE(order.has_bytes);
+  EXPECT_GT(order.bytes, 0u);
+  EXPECT_TRUE(all[spans["emit"]].has_rows);
+  EXPECT_EQ(all[spans["emit"]].rows, 4u);  // the demo join has 4 rows
+  EXPECT_LT(spans["order-restructure"], spans["emit"]);
 
   // Direct children of the root account for at most its wall time.
   double child_sum = 0.0;
@@ -241,8 +252,9 @@ TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {
   ASSERT_TRUE(spans.count("materialize-groups"));
   EXPECT_TRUE(trace.spans()[spans["materialize-groups"]].has_rows);
   EXPECT_EQ(trace.spans()[spans["materialize-groups"]].rows, 2u);
-  // No enumeration spans: aggregate output is a grouped table.
-  EXPECT_FALSE(spans.count("enumerate"));
+  // No materialisation-sink spans: aggregate output is a grouped table.
+  EXPECT_FALSE(spans.count("order-restructure"));
+  EXPECT_FALSE(spans.count("emit"));
 }
 
 TEST(EngineTrace, PretreeSkipsSearchSpan) {
@@ -271,7 +283,8 @@ TEST(EngineTrace, ExplainAnalyzeExecute) {
   EXPECT_NE(body.find("parse"), std::string::npos);
   EXPECT_NE(body.find("f-tree-search"), std::string::npos);
   EXPECT_NE(body.find("ground"), std::string::npos);
-  EXPECT_NE(body.find("enumerate"), std::string::npos);
+  EXPECT_NE(body.find("order-restructure"), std::string::npos);
+  EXPECT_NE(body.find("emit"), std::string::npos);
   EXPECT_NE(body.find("-- total"), std::string::npos);
   // The factorised result still rides along.
   EXPECT_GT(res.FlatTuples(), 0.0);

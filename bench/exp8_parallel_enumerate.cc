@@ -9,16 +9,16 @@
 //     while the representation stays linear in N);
 //   * one-to-many chain — Customer <- Orders <- Lineitem: many small top
 //     entries, pure greedy range packing.
-// For each thread count the full stream is enumerated through
-// ParallelEnumerator (chunk results concatenated in plan order are
-// byte-identical to sequential enumeration — asserted in
-// tests/parallel_enumerate_test.cc); the table reports wall time (best of
-// FDB_EXP8_REPS runs), throughput and the speedup vs 1 thread. A second
-// table times the parallel MaterializeVisible sink on the star workload,
-// with its enumeration kernel (core/kernel.h) compiled ahead (on) or on
-// demand inside the sink (off). A third
-// traces the star query end-to-end and reports the per-phase span times
-// plus how much of the total the phases cover (>= 90% required).
+// For each thread count the full stream is emitted through
+// ParallelEnumerator, one compiled-kernel run per chunk (chunk results
+// concatenated in plan order are byte-identical to sequential enumeration
+// — asserted in tests/parallel_enumerate_test.cc); the table reports wall
+// time (best of FDB_EXP8_REPS runs), throughput and the speedup vs 1
+// thread. A second table times the parallel MaterializeVisible sink on the
+// star workload, with its enumeration kernel (core/kernel.h) compiled
+// ahead (on) or on demand inside the sink (off). A third traces the star
+// query end-to-end and reports the per-phase span times plus how much of
+// the total the phases cover (>= 90% required).
 //
 // The host's hardware concurrency is recorded alongside: on machines with
 // fewer cores than the thread column the speedup is bounded by the
@@ -102,8 +102,11 @@ struct EnumRun {
 };
 
 // Streams the whole representation through ParallelEnumerator at the
-// given thread count; best wall time of `reps` runs.
+// given thread count, one kernel run per chunk into a chunk-local buffer
+// (dropped when the chunk ends); best wall time of `reps` runs.
 EnumRun RunEnumerate(const FRep& rep, int threads, int reps) {
+  const EnumKernel kernel =
+      EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
   EnumRun best;
   for (int r = 0; r < reps; ++r) {
     EnumerateOptions opts;
@@ -112,10 +115,9 @@ EnumRun RunEnumerate(const FRep& rep, int threads, int reps) {
     ParallelEnumerator pe(rep, opts, /*visible_only=*/false);
     std::vector<uint64_t> counts(pe.num_chunks(), 0);
     Timer t;
-    pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-      uint64_t local = 0;
-      while (en.Next()) ++local;
-      counts[c] = local;
+    pe.ForEachChunk([&](size_t c) {
+      std::vector<Value> buf;
+      counts[c] = kernel.Emit(rep, pe.plan().morsels[c].bounds, &buf);
     });
     double secs = t.Seconds();
     uint64_t total = 0;

@@ -10,7 +10,6 @@
 #include "common/exec_context.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "core/enumerate.h"
 #include "core/ground.h"
 #include "core/kernel.h"
 #include "core/ops.h"
@@ -99,14 +98,19 @@ void BM_Normalize(benchmark::State& state) {
 BENCHMARK(BM_Normalize)->Arg(100)->Arg(1000);
 
 void BM_Enumerate(benchmark::State& state) {
+  // The full-tuple stream (every attribute, visible or not) emitted by a
+  // compiled kernel into a reused buffer.
   size_t n = static_cast<size_t>(state.range(0));
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
   FRep rep = GroundRelation(r, 0);
+  EnumKernel kernel = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
+  std::vector<Value> buf;
+  buf.reserve(n * kernel.schema().size());
   for (auto _ : state) {
-    TupleEnumerator en(rep);
-    size_t count = 0;
-    while (en.Next()) ++count;
-    benchmark::DoNotOptimize(count);
+    buf.clear();
+    benchmark::DoNotOptimize(kernel.Emit(rep, {}, &buf));
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
@@ -114,59 +118,58 @@ void BM_Enumerate(benchmark::State& state) {
 BENCHMARK(BM_Enumerate)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_EnumerateKernel(benchmark::State& state) {
-  // Interpreted visible extraction (Arg 0) vs the compiled kernel (Arg 1)
-  // over the same N=100k path rep as BM_Enumerate/100000, both assembling
-  // the full flat row stream into a reused buffer — the ratio is the
-  // kernel speedup the warm serve path sees per morsel.
-  const bool use_kernel = state.range(0) != 0;
+  // Visible-mode kernel emission over the same N=100k path rep as
+  // BM_Enumerate/100000, assembling the flat row stream into a reused
+  // buffer — the per-morsel work of the warm serve path.
   const size_t n = 100000;
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
   FRep rep = GroundRelation(r, 0);
   EnumKernel kernel = EnumKernel::Compile(rep.tree(), /*visible_only=*/true);
-  const std::vector<AttrId>& schema = kernel.schema();
   std::vector<Value> buf;
-  buf.reserve(n * schema.size());
+  buf.reserve(n * kernel.schema().size());
   for (auto _ : state) {
     buf.clear();
-    if (use_kernel) {
-      benchmark::DoNotOptimize(kernel.Emit(rep, {}, &buf));
-    } else {
-      TupleEnumerator en(rep, /*visible_only=*/true);
-      while (en.Next()) {
-        for (AttrId a : schema) buf.push_back(en.ValueOf(a));
-      }
-    }
+    benchmark::DoNotOptimize(kernel.Emit(rep, {}, &buf));
     benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_EnumerateKernel)->Arg(0)->Arg(1);
+BENCHMARK(BM_EnumerateKernel);
 
 void BM_ParallelEnumerate(benchmark::State& state) {
   // Same stream as BM_Enumerate (N=100k path rep), chunked through the
-  // morsel planner onto state.range(0) threads. Arg(1) takes the
-  // sequential fallback (no planning), so it measures the wrapper's
-  // overhead against BM_Enumerate/100000; Arg(2+) includes the planner
-  // DP and chunk bookkeeping.
+  // morsel planner onto state.range(0) threads: one kernel run per chunk,
+  // each into its slice of one reused buffer presized by count mode (the
+  // MaterializeVisible emission scheme). Arg(1) takes the sequential
+  // fallback (no planning), so it measures the wrapper's overhead against
+  // BM_Enumerate/100000; Arg(2+) includes the planner DP and chunk
+  // bookkeeping.
   int threads = static_cast<int>(state.range(0));
   size_t n = 100000;
   Relation r = RandomRelation({0, 1, 2}, n, 50, 7);
   FRep rep = GroundRelation(r, 0);
+  EnumKernel kernel = EnumKernel::Compile(rep.tree(), /*visible_only=*/false);
+  const size_t arity = kernel.schema().size();
+  std::vector<Value> buf;
   for (auto _ : state) {
     EnumerateOptions opts;
     opts.threads = threads;
     opts.parallel_cutoff = 0;
     ParallelEnumerator pe(rep, opts);
-    std::vector<size_t> counts(pe.num_chunks(), 0);
-    pe.Enumerate([&counts](size_t c, TupleEnumerator& en) {
-      size_t local = 0;
-      while (en.Next()) ++local;
-      counts[c] = local;
+    const std::vector<Morsel>& morsels = pe.plan().morsels;
+    std::vector<size_t> offset(morsels.size() + 1, 0);
+    for (size_t c = 0; c < morsels.size(); ++c) {
+      offset[c + 1] =
+          offset[c] + kernel.CountRows(rep, morsels[c].bounds) * arity;
+    }
+    buf.resize(offset.back());
+    pe.ForEachChunk([&](size_t c) {
+      kernel.EmitTo(rep, morsels[c].bounds, buf.data() + offset[c]);
     });
-    size_t total = 0;
-    for (size_t c : counts) total += c;
-    benchmark::DoNotOptimize(total);
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));

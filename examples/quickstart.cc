@@ -1,12 +1,11 @@
 // Quickstart: create a database, run a join query, inspect the factorised
-// result and stream its tuples.
+// result and materialise its tuples.
 //
 //   $ ./build/examples/quickstart
 #include <iostream>
 
 #include "api/database.h"
 #include "api/engine.h"
-#include "core/enumerate.h"
 #include "core/print.h"
 
 int main() {
@@ -42,14 +41,18 @@ int main() {
   std::cout << "f-tree of the result:\n"
             << res.rep.tree().ToString(&db.catalog()) << "\n";
 
-  // 4. Stream the tuples (constant-delay enumeration).
-  AttrId oid = db.Attr("oid"), item = db.Attr("item"), wh = db.Attr("warehouse");
-  TupleEnumerator en(res.rep);
+  // 4. Materialise the tuples: the result is restructured into attribute
+  //    order and streamed by a compiled enumeration kernel (constant
+  //    delay per tuple), so the rows come out sorted with no sort.
+  Relation rows = engine.MaterializeResult(res);
+  const size_t oid = rows.ColumnOf(db.Attr("oid"));
+  const size_t item = rows.ColumnOf(db.Attr("item"));
+  const size_t wh = rows.ColumnOf(db.Attr("warehouse"));
   std::cout << "tuples:\n";
-  while (en.Next()) {
-    std::cout << "  oid=" << en.ValueOf(oid)
-              << " item=" << db.dict().Decode(en.ValueOf(item))
-              << " warehouse=" << db.dict().Decode(en.ValueOf(wh)) << "\n";
+  for (size_t r = 0; r < rows.size(); ++r) {
+    std::cout << "  oid=" << rows.At(r, oid)
+              << " item=" << db.dict().Decode(rows.At(r, item))
+              << " warehouse=" << db.dict().Decode(rows.At(r, wh)) << "\n";
   }
   return 0;
 }

@@ -107,7 +107,7 @@ AggregateResult Engine::ExecuteAggregate(const Query& q,
   {
     QueryTrace::Scope span(trace, "restructure-aggregate");
     res.grouped = GroupByAggregate(base.rep, q.group_by, q.aggregates,
-                                   &solver_, &res.plan);
+                                   &solver_, &res.plan, trace);
     span.SetBytes(res.grouped.rep.MemoryBytes());
   }
   {

@@ -17,8 +17,9 @@
 //   frep_arena_commit   FRep::CommitUnion, before arena growth
 //   ground_build_union  per grounded union in GroundQuery's build
 //   ground_prepare_relation  per relation filter/sort in GroundQuery
-//   kernel_run          entry of EnumKernel::Run
-//   enumerate_morsel    per morsel task in ParallelEnumerator
+//   kernel_run          entry of every EnumKernel run (emit, count, entries)
+//   enumerate_morsel    per morsel task in ParallelEnumerator::ForEachChunk
+//                       (MaterializeVisible and GroupedRep::Materialize)
 //   serve_execute_group entry of QueryServer::ExecuteGroup's evaluation
 //   serve_render        before RenderResult in QueryServer
 #ifndef FDB_COMMON_FAULT_H_

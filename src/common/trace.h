@@ -13,7 +13,12 @@
 //     f-tree-search        FindOptimalFTree (absent on a plan-cache hit)
 //     ground               GroundQuery (bytes = FRep::MemoryBytes)
 //     project              deferred projection, when the query projects
-//     restructure-aggregate  GroupByAggregate (aggregate queries)
+//     restructure-aggregate  GroupByAggregate (aggregate queries;
+//                          bytes = grouped rep), split into
+//       restructure        the grouping swaps (rows = swaps applied,
+//                          bytes = restructured rep)
+//       collapse           payload collapse below the grouping frontier
+//                          (bytes = grouped rep)
 //     materialize-groups   GroupedRep::Materialize (rows = groups)
 //     order-restructure    output-order swaps of the materialisation sink
 //                          (rows = swaps applied, bytes = restructured rep)

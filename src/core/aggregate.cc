@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <span>
 #include <unordered_set>
 
 #include "common/exec_context.h"
-#include "common/thread_pool.h"
-#include "core/enumerate.h"
+#include "core/kernel.h"
 #include "core/ops.h"
 #include "core/validate.h"
 
@@ -31,63 +29,14 @@ uint64_t AddCount(uint64_t a, uint64_t b) {
   return out;
 }
 
-// DP over the union pool: for each union, the tuple count of the sub-
-// representation and the sum of `attr` over its tuples. For an entry with
-// value v and child counts c_1..c_k / child sums s_1..s_k:
-//   count contribution:  prod_j c_j
-//   sum contribution:    [node has attr] * v * prod_j c_j
-//                        + sum_j s_j * prod_{j' != j} c_{j'}
-// Counts accumulate in uint64_t and throw on overflow: past 2^64 the
-// weighted sum recurrence would silently round, so SUM/AVG refuse.
+// COUNT and SUM(attr) over a whole representation, for Sum/Avg: the
+// collapse DP of grouped aggregation with one SUM spec (defined with it
+// below).
 struct CountSum {
   uint64_t count = 0;
   double sum = 0.0;
 };
-
-CountSum SolveUnion(const FRep& rep, uint32_t id, AttrId attr,
-                    std::vector<CountSum>& memo, std::vector<char>& done) {
-  if (done[id]) return memo[id];
-  UnionRef un = rep.u(id);
-  const FTreeNode& nd = rep.tree().node(un.node());
-  const size_t k = nd.children.size();
-  const bool has_attr = nd.attrs.Contains(attr);
-
-  CountSum out;
-  for (size_t e = 0; e < un.size(); ++e) {
-    uint64_t prod = 1;
-    double weighted = 0.0;  // sum_j s_j * prod_{j' != j} c_{j'}
-    for (size_t j = 0; j < k; ++j) {
-      CountSum c = SolveUnion(rep, un.Child(e, j, k), attr, memo, done);
-      weighted = weighted * static_cast<double>(c.count) +
-                 c.sum * static_cast<double>(prod);
-      prod = MulCount(prod, c.count);
-    }
-    out.count = AddCount(out.count, prod);
-    out.sum += weighted;
-    if (has_attr) {
-      out.sum += static_cast<double>(un.value(e)) * static_cast<double>(prod);
-    }
-  }
-  memo[id] = out;
-  done[id] = 1;
-  return out;
-}
-
-// Combines the forest roots (a product): count multiplies; the sum of attr
-// over a product is sum_i s_i * prod_{i' != i} c_{i'} — attr lives in
-// exactly one root tree, so only one s_i is non-zero.
-CountSum SolveForest(const FRep& rep, AttrId attr) {
-  std::vector<CountSum> memo(rep.NumUnions());
-  std::vector<char> done(rep.NumUnions(), 0);
-  CountSum total{1, 0.0};
-  for (uint32_t r : rep.roots()) {
-    CountSum c = SolveUnion(rep, r, attr, memo, done);
-    total.sum = total.sum * static_cast<double>(c.count) +
-                c.sum * static_cast<double>(total.count);
-    total.count = MulCount(total.count, c.count);
-  }
-  return total;
-}
+CountSum SolveForest(const FRep& rep, AttrId attr);
 
 int NodeOfAttr(const FRep& rep, AttrId attr) {
   int n = rep.tree().FindAttr(attr);
@@ -174,8 +123,10 @@ constexpr uint32_t kNoNewUnion = 0xFFFFFFFFu;
 // group nodes, so the loop terminates. Among the applicable swaps the one
 // whose resulting tree has the smallest s(T) is taken (greedy; mirrors the
 // f-plan optimiser's cost measure without its equality-driven goal test).
+// Counts the swaps applied in *swaps.
 FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
-                            EdgeCoverSolver& solver, FPlan* plan_out) {
+                            EdgeCoverSolver& solver, FPlan* plan_out,
+                            size_t* swaps) {
   FRep cur = in;
   for (;;) {
     const FTree& t = cur.tree();
@@ -198,6 +149,7 @@ FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
     AttrId aa = t.node(best_a).attrs.Min();
     AttrId ba = t.node(best_b).attrs.Min();
     cur = Swap(cur, aa, ba);
+    ++*swaps;
     if (plan_out != nullptr) {
       plan_out->steps.push_back(PlanStep::MakeSwap(aa, ba));
     }
@@ -205,15 +157,33 @@ FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
 }
 
 // Memoised multi-spec statistics of whole sub-representations (the parts
-// below the grouping frontier and the global root trees): tuple count plus
-// per-spec sum/min/max of the spec's attribute. One pass over each
-// reachable union, shared subtrees solved once.
+// below the grouping frontier, the global root trees, whole reps for
+// Sum/Avg): tuple count plus per-spec sum/min/max of the spec's
+// attribute. One pass over each reachable union, shared subtrees solved
+// once. For an entry with value v and child counts c_1..c_k / child sums
+// s_1..s_k:
+//   count contribution:  prod_j c_j
+//   sum contribution:    [node has attr] * v * prod_j c_j
+//                        + sum_j s_j * prod_{j' != j} c_{j'}
+// Counts accumulate in uint64_t and throw on overflow: past 2^64 the
+// weighted sum recurrence would silently round, so SUM/AVG refuse.
 struct CollapseCtx {
+  CollapseCtx(const FRep& r, const std::vector<AggSpec>& s)
+      : rep(r),
+        specs(s),
+        spec_slot(r.tree().pool_size(), std::vector<int>(s.size(), -2)),
+        done(r.NumUnions(), 0),
+        count(r.NumUnions(), 0),
+        sum(s.size() * r.NumUnions(), 0.0),
+        mn(s.size() * r.NumUnions(), std::numeric_limits<Value>::max()),
+        mx(s.size() * r.NumUnions(), std::numeric_limits<Value>::min()) {}
+
   const FRep& rep;
   const std::vector<AggSpec>& specs;
   // spec_slot[node][j]: -1 when spec j's attribute is in the node's own
   // class, a child-slot index when it lives in that child's subtree, -2
-  // when absent from the subtree (or spec j is COUNT).
+  // when absent from the subtree (or spec j is COUNT). Filled by the
+  // caller.
   std::vector<std::vector<int>> spec_slot;
 
   std::vector<char> done;
@@ -294,149 +264,29 @@ void SolveStats(CollapseCtx& c, uint32_t root) {
   }
 }
 
+// COUNT and SUM(attr) of the whole representation: the collapse DP with
+// one SUM spec, pair-combined over the root trees (a product): count
+// multiplies; the sum of attr over a product is
+// sum_i s_i * prod_{i' != i} c_{i'} — attr lives in exactly one root
+// tree, so only one s_i is non-zero.
+CountSum SolveForest(const FRep& rep, AttrId attr) {
+  const std::vector<AggSpec> specs{{AggFn::kSum, attr}};
+  CollapseCtx c(rep, specs);
+  c.spec_slot[static_cast<size_t>(rep.tree().FindAttr(attr))][0] = -1;
+  CountSum total{1, 0.0};
+  for (uint32_t r : rep.roots()) {
+    SolveStats(c, r);
+    total.sum = total.sum * static_cast<double>(c.count[r]) +
+                c.sum[r] * static_cast<double>(total.count);
+    total.count = MulCount(total.count, c.count[r]);
+  }
+  return total;
+}
+
 }  // namespace
 
 uint64_t GroupedRep::NumGroups() const {
   return rep.empty() ? 0 : rep.CountTuplesExact();
-}
-
-namespace {
-
-// The frame-odometer walk of GroupedRep::Materialize, restricted to
-// `bounds` on the top frames (empty = whole group stream; same
-// chain contract as the TupleEnumerator bounds constructor). Appends the
-// covered groups' rows to *tbl in odometer order; `est_rows` pre-reserves
-// the row storage.
-void MaterializeRange(const GroupedRep& g, std::span<const EntryBound> bounds,
-                      double est_rows, GroupedTable* tbl) {
-  const FRep& rep = g.rep;
-  const FTree& t = rep.tree();
-  const size_t ns = g.specs.size();
-  GroupedTable& out = *tbl;
-  if (est_rows > 0.0 && est_rows < 1e9) {
-    const size_t rows = static_cast<size_t>(est_rows);
-    out.keys.reserve(out.keys.size() + rows * out.group_schema.size());
-    out.aggs.reserve(out.aggs.size() + rows * ns);
-  }
-
-  // Frames over the group forest (shared with TupleEnumerator)
-  // plus the per-frame odometer state of this walk.
-  struct Frame : PreOrderFrame {
-    uint32_t union_id = 0;
-    size_t entry = 0;
-    size_t off = 0;  ///< current union's arena offset
-  };
-  std::vector<Frame> frames;
-  std::vector<int> frame_of(t.pool_size(), -1);
-  for (const PreOrderFrame& pf : BuildPreOrderFrames(t)) {
-    Frame f;
-    static_cast<PreOrderFrame&>(f) = pf;
-    frame_of[static_cast<size_t>(f.node)] = static_cast<int>(frames.size());
-    frames.push_back(f);
-  }
-
-  std::vector<Value> cur_val(kMaxAttrs, 0);
-  std::vector<Value> key(out.group_schema.size());
-  std::vector<double> row(ns);
-  // Per-depth scratch for the running per-spec sums (avoids per-entry
-  // allocation in the recursion below).
-  std::vector<std::vector<double>> sums_at(frames.size() + 1,
-                                           std::vector<double>(ns, 0.0));
-
-  const double g_count = static_cast<double>(g.global_count);
-
-  auto emit = [&](uint64_t cnt, const std::vector<double>& sums) {
-    uint64_t total = MulCount(cnt, g.global_count);
-    for (size_t j = 0; j < ns; ++j) {
-      const AggSpec& sp = g.specs[j];
-      // Pair-combine of the group-local fold with the global multipliers:
-      // SUM = sums[j] * G + global_sum[j] * cnt (exactly one term is
-      // non-zero unless the spec's attribute is a group attribute).
-      switch (sp.fn) {
-        case AggFn::kCount:
-          row[j] = static_cast<double>(total);
-          break;
-        case AggFn::kSum:
-        case AggFn::kAvg: {
-          double s = g.spec_where[j] == GroupedRep::Where::kGroup
-                         ? static_cast<double>(cur_val[sp.attr]) *
-                               static_cast<double>(total)
-                         : sums[j] * g_count +
-                               g.global_sum[j] * static_cast<double>(cnt);
-          row[j] = sp.fn == AggFn::kSum ? s : s / static_cast<double>(total);
-          break;
-        }
-        case AggFn::kMin:
-        case AggFn::kMax: {
-          Value v = 0;
-          if (g.spec_where[j] == GroupedRep::Where::kGroup) {
-            v = cur_val[sp.attr];
-          } else if (g.spec_where[j] == GroupedRep::Where::kGlobal) {
-            v = sp.fn == AggFn::kMin ? g.global_min[j] : g.global_max[j];
-          } else {
-            const Frame& f =
-                frames[static_cast<size_t>(frame_of[g.spec_node[j]])];
-            size_t gi = f.off + f.entry;
-            v = sp.fn == AggFn::kMin ? g.entry_min[j][gi]
-                                     : g.entry_max[j][gi];
-          }
-          row[j] = static_cast<double>(v);
-          break;
-        }
-      }
-    }
-    for (size_t c = 0; c < key.size(); ++c) {
-      key[c] = cur_val[out.group_schema[c]];
-    }
-    out.AddRow(key, row);
-  };
-
-  auto rec = [&](auto&& self, size_t i, uint64_t cnt) -> void {
-    if (i == frames.size()) {
-      emit(cnt, sums_at[i]);
-      return;
-    }
-    Frame& f = frames[i];
-    if (f.parent_pos < 0) {
-      f.union_id = rep.roots()[f.slot];
-    } else {
-      const Frame& pf = frames[static_cast<size_t>(f.parent_pos)];
-      UnionRef pu = rep.u(pf.union_id);
-      const size_t k = t.node(pf.node).children.size();
-      f.union_id = pu.Child(pf.entry, f.slot, k);
-    }
-    UnionRef un = rep.u(f.union_id);
-    f.off = un.arena_offset();
-    const AttrSet attrs = t.node(f.node).attrs;
-    const std::vector<double>& sums = sums_at[i];
-    std::vector<double>& next = sums_at[i + 1];
-    // Entry bounds restrict the first bounds.size() frames, exactly as in
-    // TupleEnumerator: pinned chain above, one ranged frame at the end.
-    size_t lo = 0, hi = un.size();
-    if (i < bounds.size()) {
-      lo = bounds[i].begin;
-      hi = std::min<size_t>(hi, bounds[i].end);
-    }
-    for (size_t e = lo; e < hi; ++e) {
-      f.entry = e;
-      for (AttrId a : attrs) cur_val[a] = un.value(e);
-      const size_t gi = f.off + e;
-      for (size_t s = 0; s < ns; ++s) {
-        next[s] = sums[s] * static_cast<double>(g.entry_count[gi]) +
-                  g.entry_sum[s][gi] * static_cast<double>(cnt);
-      }
-      self(self, i + 1, MulCount(cnt, g.entry_count[gi]));
-    }
-  };
-  rec(rec, 0, 1);
-}
-
-}  // namespace
-
-GroupedTable GroupedRep::Materialize() const {
-  EnumerateOptions sequential;
-  sequential.threads = 1;
-  return Materialize(sequential);
 }
 
 GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
@@ -444,42 +294,111 @@ GroupedTable GroupedRep::Materialize(const EnumerateOptions& opts) const {
   tbl.group_schema = group_attrs.ToVector();
   tbl.specs = specs;
   if (rep.empty()) return tbl;
+  const FTree& t = rep.tree();
+  const size_t ns = specs.size();
+  const size_t nk = tbl.group_schema.size();
+
+  // One row per group forest tuple, in the kernel's frame order; each row
+  // reports the rep-wide entry index of every step, which keys both the
+  // collapsed payloads and the group values (FRep::ValueAt).
+  const EnumKernel kernel = EnumKernel::Compile(t, /*visible_only=*/false);
+  const size_t nf = kernel.num_steps();
+  std::vector<size_t> step_of(t.pool_size(), 0);
+  for (size_t i = 0; i < nf; ++i) {
+    step_of[static_cast<size_t>(kernel.step_node(i))] = i;
+  }
+  std::vector<size_t> key_step(nk), spec_step(ns, 0);
+  for (size_t c = 0; c < nk; ++c) {
+    const int n = t.FindAttr(tbl.group_schema[c]);
+    key_step[c] = step_of[static_cast<size_t>(n)];
+  }
+  for (size_t j = 0; j < ns; ++j) {
+    if (spec_node[j] >= 0) {
+      spec_step[j] = step_of[static_cast<size_t>(spec_node[j])];
+    }
+  }
 
   // The morsel planner partitions the group forest's odometer exactly as
-  // it partitions tuple enumeration; chunks concatenate in plan order, so
-  // the row order matches the sequential walk for every thread count.
+  // it partitions tuple enumeration; each chunk writes its rows into its
+  // own slice of the presized table, so the row order matches the
+  // sequential walk for every thread count.
   ParallelEnumerator pe(rep, opts, /*visible_only=*/false);
-  const MorselPlan& plan = pe.plan();
-  if (pe.num_chunks() <= 1) {
-    MaterializeRange(*this, {}, plan.est_total, &tbl);
-    return tbl;
+  const std::vector<Morsel>& morsels = pe.plan().morsels;
+  std::vector<size_t> first(morsels.size() + 1, 0);
+  for (size_t c = 0; c < morsels.size(); ++c) {
+    first[c + 1] = first[c] + kernel.CountRows(rep, morsels[c].bounds);
   }
-  std::vector<GroupedTable> parts(pe.num_chunks());
-  ThreadPool::Shared().ParallelFor(
-      pe.num_chunks(),
-      [&](size_t i) {
-        GroupedTable& part = parts[i];
-        part.group_schema = tbl.group_schema;
-        part.specs = tbl.specs;
-        MaterializeRange(*this, plan.morsels[i].bounds,
-                         plan.morsels[i].est_tuples, &part);
-      },
-      pe.threads());
-  size_t rows = 0;
-  for (const GroupedTable& part : parts) rows += part.num_rows;
-  tbl.keys.reserve(rows * tbl.group_schema.size());
-  tbl.aggs.reserve(rows * tbl.specs.size());
-  for (const GroupedTable& part : parts) {
-    tbl.keys.insert(tbl.keys.end(), part.keys.begin(), part.keys.end());
-    tbl.aggs.insert(tbl.aggs.end(), part.aggs.begin(), part.aggs.end());
-  }
-  tbl.num_rows = rows;
+  tbl.num_rows = first.back();
+  tbl.keys.resize(tbl.num_rows * nk);
+  tbl.aggs.resize(tbl.num_rows * ns);
+
+  const double g_count = static_cast<double>(global_count);
+  pe.ForEachChunk([&](size_t c) {
+    std::vector<size_t> entries;
+    const uint64_t rows = kernel.EmitEntries(rep, morsels[c].bounds, &entries);
+    std::vector<double> sums(ns);
+    for (size_t r = 0; r < rows; ++r) {
+      const size_t* e = entries.data() + r * nf;
+      Value* key = tbl.keys.data() + (first[c] + r) * nk;
+      double* row = tbl.aggs.data() + (first[c] + r) * ns;
+      // Fold the payloads down the group's entries in frame order: the
+      // count multiplies, and SUM pair-combines with the count so far.
+      uint64_t cnt = 1;
+      std::fill(sums.begin(), sums.end(), 0.0);
+      for (size_t i = 0; i < nf; ++i) {
+        const size_t gi = e[i];
+        for (size_t s = 0; s < ns; ++s) {
+          sums[s] = sums[s] * static_cast<double>(entry_count[gi]) +
+                    entry_sum[s][gi] * static_cast<double>(cnt);
+        }
+        cnt = MulCount(cnt, entry_count[gi]);
+      }
+      const uint64_t total = MulCount(cnt, global_count);
+      for (size_t j = 0; j < ns; ++j) {
+        const AggSpec& sp = specs[j];
+        const size_t gi = spec_node[j] >= 0 ? e[spec_step[j]] : 0;
+        // Pair-combine of the group-local fold with the global multipliers:
+        // SUM = sums[j] * G + global_sum[j] * cnt (exactly one term is
+        // non-zero unless the spec's attribute is a group attribute).
+        switch (sp.fn) {
+          case AggFn::kCount:
+            row[j] = static_cast<double>(total);
+            break;
+          case AggFn::kSum:
+          case AggFn::kAvg: {
+            double v = spec_where[j] == Where::kGroup
+                           ? static_cast<double>(rep.ValueAt(gi)) *
+                                 static_cast<double>(total)
+                           : sums[j] * g_count +
+                                 global_sum[j] * static_cast<double>(cnt);
+            row[j] = sp.fn == AggFn::kSum ? v : v / static_cast<double>(total);
+            break;
+          }
+          case AggFn::kMin:
+          case AggFn::kMax: {
+            Value v = 0;
+            if (spec_where[j] == Where::kGroup) {
+              v = rep.ValueAt(gi);
+            } else if (spec_where[j] == Where::kGlobal) {
+              v = sp.fn == AggFn::kMin ? global_min[j] : global_max[j];
+            } else {
+              v = sp.fn == AggFn::kMin ? entry_min[j][gi] : entry_max[j][gi];
+            }
+            row[j] = static_cast<double>(v);
+            break;
+          }
+        }
+      }
+      for (size_t k = 0; k < nk; ++k) key[k] = rep.ValueAt(e[key_step[k]]);
+    }
+  });
   return tbl;
 }
 
 GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
                             std::vector<AggSpec> specs,
-                            EdgeCoverSolver* solver, FPlan* plan_out) {
+                            EdgeCoverSolver* solver, FPlan* plan_out,
+                            QueryTrace* trace) {
   for (AttrId a : group_attrs) {
     FDB_CHECK_MSG(in.tree().FindAttr(a) >= 0,
                   "GROUP BY attribute not in the f-tree");
@@ -491,9 +410,18 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
                       " attribute not in the f-tree");
   }
 
-  EdgeCoverSolver local_solver;
-  FRep cur = RestructureForGrouping(
-      in, group_attrs, solver != nullptr ? *solver : local_solver, plan_out);
+  FRep cur{FTree{}};
+  {
+    QueryTrace::Scope span(trace, "restructure");
+    EdgeCoverSolver local_solver;
+    size_t swaps = 0;
+    cur = RestructureForGrouping(in, group_attrs,
+                                 solver != nullptr ? *solver : local_solver,
+                                 plan_out, &swaps);
+    span.SetRows(swaps);
+    span.SetBytes(cur.MemoryBytes());
+  }
+  QueryTrace::Scope collapse_span(trace, "collapse");
   const FTree& t = cur.tree();
   const size_t ns = specs.size();
 
@@ -571,12 +499,12 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
   if (cur.empty()) {
     out.rep = FRep{std::move(gt)};
     FDB_VALIDATE_GROUPED(out);
+    collapse_span.SetBytes(out.rep.MemoryBytes());
     return out;
   }
 
   // Collapse context (per-node spec routing plus the memoised DP).
-  CollapseCtx ctx{cur, out.specs, {}, {}, {}, {}, {}, {}};
-  ctx.spec_slot.assign(t.pool_size(), std::vector<int>(ns, -2));
+  CollapseCtx ctx(cur, out.specs);
   for (int n : t.AliveNodes()) {
     const FTreeNode& nd = t.node(n);
     for (size_t j = 0; j < ns; ++j) {
@@ -595,11 +523,6 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     }
   }
   const size_t nu = cur.NumUnions();
-  ctx.done.assign(nu, 0);
-  ctx.count.assign(nu, 0);
-  ctx.sum.assign(ns * nu, 0.0);
-  ctx.mn.assign(ns * nu, std::numeric_limits<Value>::max());
-  ctx.mx.assign(ns * nu, std::numeric_limits<Value>::min());
 
   // Global root trees (no grouping class anywhere): collapse each whole
   // tree and pair-combine into the global multipliers.
@@ -707,6 +630,7 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
   }
   out.rep = std::move(grep);
   FDB_VALIDATE_GROUPED(out);
+  collapse_span.SetBytes(out.rep.MemoryBytes());
   return out;
 }
 

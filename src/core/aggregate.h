@@ -43,6 +43,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/trace.h"
 #include "core/fplan.h"
 #include "core/frep.h"
 #include "core/parallel_enumerate.h"
@@ -122,13 +123,15 @@ struct GroupedRep {
 
   /// Flattens to one row per group: group keys (ascending attribute order)
   /// plus one double per spec. Throws FdbError if a per-group count
-  /// overflows uint64. The parameterless overload runs sequentially; the
-  /// EnumerateOptions overload splits the group forest with the morsel
-  /// planner (core/parallel_enumerate.h) and materialises the chunks on
-  /// the shared thread pool, concatenated in chunk order — the row order
-  /// is identical to the sequential walk for every thread count.
-  GroupedTable Materialize() const;
-  GroupedTable Materialize(const EnumerateOptions& opts) const;
+  /// overflows uint64. The groups stream from a full-tuple EnumKernel
+  /// over `rep` (core/kernel.h), which reports each group's entries; the
+  /// row folds their payloads in frame order. The default argument runs
+  /// sequentially on the caller; otherwise the morsel planner splits the
+  /// group forest and ParallelEnumerator::ForEachChunk runs the chunks
+  /// (governed by the ambient ExecContext like every enumeration), each
+  /// writing its slice of the table — the row order is identical to the
+  /// sequential walk for every thread count.
+  GroupedTable Materialize(const EnumerateOptions& opts = {.threads = 1}) const;
 };
 
 /// Grouped aggregation inside the factorisation (restructure-then-collapse,
@@ -139,11 +142,14 @@ struct GroupedRep {
 ///
 /// `solver` (optional) ranks candidate restructuring swaps by the s(T) of
 /// the resulting tree; without it a scratch solver is used. The swaps
-/// applied are appended to `plan_out` when given.
+/// applied are appended to `plan_out` when given. A non-null `trace`
+/// records a "restructure" span (rows = swaps applied, bytes =
+/// restructured rep) and a "collapse" span (bytes = grouped rep).
 GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
                             std::vector<AggSpec> specs,
                             EdgeCoverSolver* solver = nullptr,
-                            FPlan* plan_out = nullptr);
+                            FPlan* plan_out = nullptr,
+                            QueryTrace* trace = nullptr);
 
 }  // namespace fdb
 

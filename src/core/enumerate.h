@@ -1,20 +1,24 @@
-// Tuple enumeration from f-representations.
+// The frame order of tuple enumeration from f-representations.
 //
 // F-representations allow constant-delay enumeration: O(|E|) preparation and
-// O(|S|) delay between successive tuples (§2). TupleEnumerator implements
-// this with an explicit odometer over the f-tree's frames: advancing to the
-// next tuple touches each of the |T| frames at most once.
+// O(|S|) delay between successive tuples (§2), by an odometer over the
+// f-tree's frames: advancing to the next tuple touches each of the |T|
+// frames at most once. The library's one implementation of that odometer
+// is the compiled EnumKernel (core/kernel.h); this header fixes the frames
+// it walks, which the morsel planner (core/parallel_enumerate.h) splits
+// and the structural validators (core/validate.h) re-derive.
 //
 // Frame order. The odometer is correct for any parent-first order of the
 // frames, and it streams tuples in lexicographic order of the frame values
 // (every union is sorted). BuildPreOrderFrames fixes one such order for
-// every walker (TupleEnumerator, EnumKernel, GroupedRep::Materialize, the
-// morsel planner): ready nodes are taken by their smallest visible
-// attribute id, invisible nodes last. When every root-to-leaf path of the
-// tree increases in that key (PlanOutputOrder in core/fplan.h restructures
-// any tree into this shape), the stream is therefore sorted by the visible
-// attributes in id order — the contract of the MaterializeVisible sink
-// (core/parallel_enumerate.h), met without sorting.
+// every walker (EnumKernel for tuple streams and the group forest of
+// GroupedRep::Materialize, the morsel planner): ready nodes are taken by
+// their smallest visible attribute id, invisible nodes last. When every
+// root-to-leaf path of the tree increases in that key (PlanOutputOrder in
+// core/fplan.h restructures any tree into this shape), the stream is
+// therefore sorted by the visible attributes in id order — the contract of
+// the MaterializeVisible sink (core/parallel_enumerate.h), met without
+// sorting.
 #ifndef FDB_CORE_ENUMERATE_H_
 #define FDB_CORE_ENUMERATE_H_
 
@@ -51,85 +55,13 @@ std::vector<PreOrderFrame> BuildPreOrderFrames(const FTree& t,
 /// valid `keep` argument for BuildPreOrderFrames).
 std::vector<char> VisibleKeepMask(const FTree& t);
 
-/// Half-open entry range [begin, end) restricting one frame of
-/// an enumeration (see the TupleEnumerator bounds constructor). Produced
-/// by the morsel planner in core/parallel_enumerate.h.
+/// Half-open entry range [begin, end) restricting one frame of an
+/// enumeration; a chain of them restricts a kernel run to one morsel (the
+/// contract is in core/kernel.h). Produced by the morsel planner in
+/// core/parallel_enumerate.h.
 struct EntryBound {
   uint32_t begin = 0;
   uint32_t end = 0;
-};
-
-/// Streams the tuples of an f-representation.
-///
-/// Contract: in the default mode each *distinct tuple over all attributes
-/// of the f-tree* (visible or not) is emitted exactly once; callers
-/// project as needed. Projecting the stream onto the visible attributes
-/// may therefore repeat visible tuples when the tree retains invisible
-/// (projected-away) nodes — consumers that count or aggregate the visible
-/// relation must deduplicate, or enumerate with `visible_only`.
-///
-/// `visible_only` skips every subtree that contains no visible attribute:
-/// odometer positions that differ only inside such subtrees collapse into
-/// one, so invisible-only nodes no longer multiply the stream. Duplicate
-/// *visible* tuples can still arise from invisible nodes that have visible
-/// descendants (two values of the invisible node may lead to equal visible
-/// sub-tuples below). MaterializeVisible rules them out structurally: it
-/// first sinks such nodes below their visible descendants (PlanOutputOrder
-/// in core/fplan.h), after which they sit in skipped subtrees. In this
-/// mode only visible attributes of the current tuple are meaningful.
-class TupleEnumerator {
- public:
-  explicit TupleEnumerator(const FRep& rep, bool visible_only = false);
-
-  /// Range-restricted enumeration: `bounds[i]` restricts the entries of
-  /// frame i (the same frame order the unrestricted enumerator
-  /// walks, after the visible_only skip) to [begin, end). Every bound but
-  /// the last must pin exactly one entry (begin + 1 == end), so the
-  /// restricted frames form a chain whose unions never change during the
-  /// walk — the shape the morsel planner emits. The restricted stream is
-  /// a contiguous slice of the unrestricted stream, in the same order;
-  /// a bound that misses its union entirely yields the empty stream.
-  TupleEnumerator(const FRep& rep, bool visible_only,
-                  std::vector<EntryBound> bounds);
-
-  /// Advances to the next tuple; false when exhausted. The first call
-  /// positions the enumerator on the first tuple.
-  bool Next();
-
-  /// Value of `attr` in the current tuple (valid after Next() == true).
-  Value ValueOf(AttrId attr) const { return current_[attr]; }
-
-  /// The current tuple indexed by attribute id (sparse; only attributes of
-  /// the f-tree are meaningful).
-  const std::vector<Value>& current() const { return current_; }
-
- private:
-  struct Frame : PreOrderFrame {
-    uint32_t union_id = 0;
-    size_t entry = 0;
-    /// Entries strictly below this advance: min(union size, bound end),
-    /// folded in at reset so the hot advance loop compares one cached
-    /// value instead of re-reading the union header and re-clamping the
-    /// bound on every step.
-    size_t limit = 0;
-  };
-
-  // Sets frames_[i].union_id from the parent frame (or root slot), resets
-  // its entry to the frame's lower bound (0 when unbounded), caches the
-  // frame's entry limit and writes the class values into current_. Returns
-  // false when the bound misses the union entirely — possible only on the
-  // first pass, since bounded frames form a pinned chain whose unions
-  // never change afterwards.
-  bool ResetFrame(size_t i);
-  void WriteValues(size_t i);
-
-  const FRep* rep_;
-  std::vector<Frame> frames_;       // BuildPreOrderFrames order
-  std::vector<Value> current_;      // indexed by AttrId
-  std::vector<EntryBound> bounds_;  // per-frame ranges on a prefix of frames_
-  bool started_ = false;
-  bool done_ = false;
-  bool nullary_pending_ = false;
 };
 
 }  // namespace fdb

@@ -222,6 +222,11 @@ class FRep {
 
   size_t NumUnions() const { return headers_.size(); }
 
+  /// Value of the entry with rep-wide entry index `i`
+  /// (UnionRef::arena_offset() + entry, as EnumKernel::EmitEntries
+  /// reports it).
+  Value ValueAt(size_t i) const { return values_[i]; }
+
   // Read-only arena geometry, for the deep structural checker
   // (core/validate.h): it must bounds-check every header window against the
   // arenas *before* dereferencing values/children through UnionRef.
@@ -263,7 +268,7 @@ class FRep {
   /// (exact below 2^53). When `keep` is given (indexed by f-tree node id,
   /// closed under parents), child slots whose node is masked out
   /// contribute factor 1 — the count of the enumeration stream restricted
-  /// to kept frames (TupleEnumerator's visible_only mode). Unreachable
+  /// to kept frames (a visible_only EnumKernel's stream). Unreachable
   /// unions stay 0. Feeds the morsel planner and its parallel cutoff in
   /// core/parallel_enumerate.h.
   std::vector<double> SubtreeTupleCounts(

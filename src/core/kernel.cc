@@ -93,12 +93,13 @@ bool EnumKernel::Matches(const FTree& tree) const {
   return ShapeSignature(tree, visible_only_, frames) == signature_;
 }
 
-template <bool kEmit>
+template <EnumKernel::Mode kMode>
 uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
                          [[maybe_unused]] std::vector<Value>* out,
-                         [[maybe_unused]] Value* dst_cursor) const {
-  // Same bounds contract (and validation) as the TupleEnumerator bounds
-  // constructor: a pinned chain plus one trailing ranged frame.
+                         [[maybe_unused]] Value* dst_cursor,
+                         [[maybe_unused]] std::vector<size_t>* entries) const {
+  // The bounds contract (kernel.h): a pinned chain plus one trailing
+  // ranged frame.
   for (size_t i = 0; i < bounds.size(); ++i) {
     FDB_CHECK_MSG(bounds[i].begin < bounds[i].end,
                   "empty entry bound on an enumeration frame");
@@ -121,6 +122,7 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     const uint32_t* kids;
     uint32_t entry;
     uint32_t limit;  ///< min(union size, bound end); entry < limit
+    size_t off;      ///< union's arena offset (kEntries only)
   };
   std::array<RunFrame, kMaxFrames> run{};
   std::array<Value, kMaxAttrs> row{};  // dense, indexed by output column
@@ -137,6 +139,7 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     RunFrame& f = run[i];
     f.vals = u.values();
     f.kids = u.children();
+    if constexpr (kMode == Mode::kEntries) f.off = u.arena_offset();
     uint32_t begin = 0;
     uint32_t limit = static_cast<uint32_t>(u.size());
     if (i < bounds.size()) {
@@ -151,10 +154,10 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
     return true;
   };
 
-  // First pass doubles as bound validation, exactly like the interpreted
-  // enumerator: bounded frames form a pinned chain whose unions never
-  // change, so a bound that survives here cannot miss on a later reset
-  // (and unions of a non-empty representation are never empty).
+  // First pass doubles as bound validation: bounded frames form a pinned
+  // chain whose unions never change, so a bound that survives here cannot
+  // miss on a later reset (and unions of a non-empty representation are
+  // never empty).
   for (size_t i = 0; i < n; ++i) {
     if (!reset(i)) return 0;  // a bound missed its union: empty stream
   }
@@ -173,7 +176,7 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
   // in the per-entry pass.
   std::array<uint32_t, kMaxAttrs> steady{};
   size_t nsteady = 0;
-  if constexpr (kEmit) {
+  if constexpr (kMode == Mode::kEmit) {
     const Step& last = steps_[n - 1];
     std::array<bool, kMaxAttrs> inner{};
     for (uint32_t c = last.out_begin; c < last.out_end; ++c) {
@@ -186,7 +189,7 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
   for (;;) {
     if (ctx != nullptr && (++probe_tick & 63u) == 0) ctx->CheckCancelled();
     RunFrame& lf = run[n - 1];
-    if constexpr (kEmit) {
+    if constexpr (kMode == Mode::kEmit) {
       // Innermost frame: emit the whole run at once. One resize per run
       // (not per row) keeps the vector's capacity check and end-pointer
       // update out of the hot loop.
@@ -217,6 +220,17 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
         Value* p = dst + lcols[c];
         for (size_t i = 0; i < run_len; ++i, p += ncols) *p = vals[i];
       }
+    } else if constexpr (kMode == Mode::kEntries) {
+      // One row of step entry indices per innermost entry: the outer
+      // frames' indices repeat, the innermost one counts up.
+      const size_t run_len = lf.limit - lf.entry;
+      const size_t pos = entries->size();
+      entries->resize(pos + run_len * n);
+      size_t* dst = entries->data() + pos;
+      for (size_t i = 0; i < run_len; ++i, dst += n) {
+        for (size_t s = 0; s + 1 < n; ++s) dst[s] = run[s].off + run[s].entry;
+        dst[n - 1] = lf.off + lf.entry + i;
+      }
     }
     rows += lf.limit - lf.entry;
     // Odometer over the outer frames: advance the deepest one with a next
@@ -242,18 +256,24 @@ uint64_t EnumKernel::Run(const FRep& rep, std::span<const EntryBound> bounds,
 
 uint64_t EnumKernel::Emit(const FRep& rep, std::span<const EntryBound> bounds,
                           std::vector<Value>* out) const {
-  return Run<true>(rep, bounds, out, nullptr);
+  return Run<Mode::kEmit>(rep, bounds, out, nullptr, nullptr);
 }
 
 uint64_t EnumKernel::EmitTo(const FRep& rep,
                             std::span<const EntryBound> bounds,
                             Value* dst) const {
-  return Run<true>(rep, bounds, nullptr, dst);
+  return Run<Mode::kEmit>(rep, bounds, nullptr, dst, nullptr);
 }
 
 uint64_t EnumKernel::CountRows(const FRep& rep,
                                std::span<const EntryBound> bounds) const {
-  return Run<false>(rep, bounds, nullptr, nullptr);
+  return Run<Mode::kCount>(rep, bounds, nullptr, nullptr, nullptr);
+}
+
+uint64_t EnumKernel::EmitEntries(const FRep& rep,
+                                 std::span<const EntryBound> bounds,
+                                 std::vector<size_t>* entries) const {
+  return Run<Mode::kEntries>(rep, bounds, nullptr, nullptr, entries);
 }
 
 }  // namespace fdb

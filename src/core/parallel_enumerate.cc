@@ -122,22 +122,30 @@ double RestrictedTotal(const FRep& rep, const std::vector<char>* keep,
   return total;
 }
 
-// Splits an already-sized stream: `counts`/`keep`/`total` are the pieces
-// the caller has computed (one DP pass shared between the cutoff decision
-// and the planning).
-MorselPlan PlanSizedMorsels(const FRep& rep, const std::vector<char>* keep,
-                            const std::vector<double>& counts, double total,
-                            double target_tuples) {
+// Sizes the stream of `rep` (frames as per `visible_only`) with one DP
+// pass and splits it into morsels of target_of(total) estimated tuples;
+// a target that is not positive leaves the plan unsplit (no morsels).
+template <typename TargetOf>
+MorselPlan PlanStream(const FRep& rep, bool visible_only, TargetOf target_of) {
+  std::vector<char> keep;
+  const std::vector<char>* keep_ptr = nullptr;
+  if (visible_only) {
+    keep = VisibleKeepMask(rep.tree());
+    keep_ptr = &keep;
+  }
+  const std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
   MorselPlan plan;
-  plan.est_total = total;
-  std::vector<PreOrderFrame> frames = BuildPreOrderFrames(rep.tree(), keep);
+  plan.est_total = RestrictedTotal(rep, keep_ptr, counts);
+  double target_tuples = target_of(plan.est_total);
+  if (!(target_tuples > 0)) return plan;
+  std::vector<PreOrderFrame> frames = BuildPreOrderFrames(rep.tree(), keep_ptr);
   if (frames.empty()) {
     // Nullary stream (one empty tuple): nothing to split over.
     plan.morsels.push_back(Morsel{{}, plan.est_total});
     return plan;
   }
   if (!(target_tuples >= 1.0)) target_tuples = 1.0;
-  PlanCtx ctx{rep,           rep.tree(),    frames, counts, keep,
+  PlanCtx ctx{rep,           rep.tree(),    frames, counts, keep_ptr,
               target_tuples, &plan.morsels, {},     {}};
   const uint32_t u0 = rep.roots()[frames[0].slot];
   const double c0 = counts[u0];
@@ -150,51 +158,33 @@ MorselPlan PlanSizedMorsels(const FRep& rep, const std::vector<char>* keep,
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples) {
   if (rep.empty()) return {};
-  std::vector<char> keep;
-  const std::vector<char>* keep_ptr = nullptr;
-  if (visible_only) {
-    keep = VisibleKeepMask(rep.tree());
-    keep_ptr = &keep;
-  }
-  std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
-  MorselPlan plan = PlanSizedMorsels(rep, keep_ptr, counts,
-                                     RestrictedTotal(rep, keep_ptr, counts),
-                                     target_tuples);
+  // Any target below one tuple plans one-tuple morsels.
+  MorselPlan plan = PlanStream(rep, visible_only, [=](double) {
+    return target_tuples > 0 ? target_tuples : 1.0;
+  });
   FDB_VALIDATE_MORSELS(rep, visible_only, plan);
   return plan;
 }
 
 ParallelEnumerator::ParallelEnumerator(const FRep& rep, EnumerateOptions opts,
-                                       bool visible_only)
-    : rep_(&rep), visible_only_(visible_only) {
+                                       bool visible_only) {
   // Resolve against the hardware, not ThreadPool::Shared(): the shared
   // pool must not be spun up for enumerations that stay sequential.
   threads_ = opts.threads > 0
                  ? opts.threads
                  : static_cast<int>(
                        std::max(1u, std::thread::hardware_concurrency()));
-  if (rep.empty()) return;  // zero chunks, Enumerate is a no-op
+  if (rep.empty()) return;  // zero chunks, ForEachChunk is a no-op
   if (threads_ > 1) {
     // One linear pass sizes the stream; below the cutoff the planning and
     // thread handoff are not worth it and the result stays on the caller.
-    std::vector<char> keep;
-    const std::vector<char>* keep_ptr = nullptr;
-    if (visible_only) {
-      keep = VisibleKeepMask(rep.tree());
-      keep_ptr = &keep;
-    }
-    std::vector<double> counts = rep.SubtreeTupleCounts(keep_ptr);
-    const double est = RestrictedTotal(rep, keep_ptr, counts);
-    if (est >= opts.parallel_cutoff) {
-      const double target =
-          opts.target_morsel_tuples > 0
-              ? opts.target_morsel_tuples
-              : std::max(1.0, est / (static_cast<double>(threads_) *
-                                     std::max(1, opts.morsels_per_thread)));
-      plan_ = PlanSizedMorsels(rep, keep_ptr, counts, est, target);
-    } else {
-      plan_.est_total = est;
-    }
+    plan_ = PlanStream(rep, visible_only, [&](double est) {
+      if (!(est >= opts.parallel_cutoff)) return 0.0;
+      return opts.target_morsel_tuples > 0
+                 ? opts.target_morsel_tuples
+                 : std::max(1.0, est / (static_cast<double>(threads_) *
+                                        std::max(1, opts.morsels_per_thread)));
+    });
   }
   if (plan_.morsels.empty()) {
     // Sequential fallback: one whole-stream chunk on the caller thread.
@@ -226,14 +216,6 @@ void ParallelEnumerator::ForEachChunk(
     return;
   }
   ThreadPool::Shared().ParallelFor(n, governed, threads_);
-}
-
-void ParallelEnumerator::Enumerate(
-    const std::function<void(size_t, TupleEnumerator&)>& consume) const {
-  ForEachChunk([&](size_t i) {
-    TupleEnumerator en(*rep_, visible_only_, plan_.morsels[i].bounds);
-    consume(i, en);
-  });
 }
 
 Relation MaterializeVisible(const FRep& rep, const EnumerateOptions& opts,

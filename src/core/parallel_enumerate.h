@@ -1,8 +1,8 @@
 // Parallel chunked enumeration: morsel-driven multi-core tuple streaming
 // from f-representations.
 //
-// Constant-delay enumeration (core/enumerate.h) is a lexicographic
-// odometer over the parent-first frames of the f-tree, which makes it
+// Constant-delay enumeration (core/kernel.h) is a lexicographic odometer
+// over the parent-first frames of the f-tree, which makes it
 // embarrassingly partitionable over the *top* frames: restricting the
 // first frame's union to an entry range [b, e) — and, when one entry
 // dominates, pinning it and recursing one level down — carves the tuple
@@ -10,15 +10,16 @@
 // builds such slices ("morsels", after Leis et al., Morsel-Driven
 // Parallelism, SIGMOD'14 — see PAPERS.md) of bounded estimated output
 // using the per-subtree tuple counts of the CountTuples DP
-// (FRep::SubtreeTupleCounts), and ParallelEnumerator runs one
-// range-restricted TupleEnumerator per morsel on the shared thread pool
-// (common/thread_pool.h).
+// (FRep::SubtreeTupleCounts), and ParallelEnumerator dispatches one
+// chunk per morsel on the shared thread pool (common/thread_pool.h); each
+// chunk is one range-restricted EnumKernel run.
 //
 // Determinism: morsels partition the stream in lexicographic odometer
 // order, so concatenating per-chunk results by chunk index reproduces the
 // sequential enumeration byte for byte, regardless of thread count or
 // scheduling (tests/parallel_enumerate_test.cc asserts this tuple for
-// tuple; the TSan CI job runs it under ThreadSanitizer).
+// tuple; the TSan CI job runs it under ThreadSanitizer). Its consumers —
+// the sink below and GroupedRep::Materialize — share ForEachChunk.
 //
 // The MaterializeVisible sink builds on that: it restructures the result
 // into output order (core/fplan.h PlanOutputOrder), after which the
@@ -60,8 +61,8 @@ struct EnumerateOptions {
   double target_morsel_tuples = 0;
 };
 
-/// One work slice: a restriction chain on the top frames (see
-/// the TupleEnumerator bounds constructor) plus its estimated output.
+/// One work slice: a restriction chain on the top frames (the bounds
+/// contract of core/kernel.h) plus its estimated output.
 /// An empty bounds vector denotes the whole stream.
 struct Morsel {
   std::vector<EntryBound> bounds;
@@ -85,8 +86,8 @@ struct MorselPlan {
 MorselPlan PlanMorsels(const FRep& rep, bool visible_only,
                        double target_tuples);
 
-/// Runs range-restricted TupleEnumerators over a morsel plan, one chunk
-/// per morsel, on the shared thread pool.
+/// Schedules a morsel plan, one chunk per morsel, on the shared thread
+/// pool.
 class ParallelEnumerator {
  public:
   /// Plans the enumeration. Falls back to one whole-stream chunk when the
@@ -95,7 +96,7 @@ class ParallelEnumerator {
   ParallelEnumerator(const FRep& rep, EnumerateOptions opts = {},
                      bool visible_only = false);
 
-  /// Number of chunks Enumerate() will deliver (0 for the empty rep).
+  /// Number of chunks ForEachChunk() will deliver (0 for the empty rep).
   size_t num_chunks() const { return plan_.morsels.size(); }
 
   /// Resolved maximum concurrency (including the caller thread).
@@ -103,25 +104,18 @@ class ParallelEnumerator {
 
   const MorselPlan& plan() const { return plan_; }
 
-  /// Calls consume(chunk, enumerator) for every chunk in [0, num_chunks()),
-  /// concurrently on up to threads() threads. `consume` must be safe to
-  /// run concurrently for distinct chunks; chunk index order equals
-  /// sequential stream order, so writing chunk results into per-index
-  /// slots and concatenating reproduces sequential output exactly.
-  /// Rethrows the first exception a chunk throws.
-  void Enumerate(
-      const std::function<void(size_t, TupleEnumerator&)>& consume) const;
-
-  /// Lower-level scheduling hook: calls fn(chunk) for every chunk index,
-  /// concurrently on up to threads() threads, without constructing
-  /// enumerators — for consumers that run their own per-morsel walk (the
-  /// compiled-kernel materialisation reads plan().morsels[chunk].bounds).
-  /// Same concurrency and exception contract as Enumerate().
+  /// Calls fn(chunk) for every chunk in [0, num_chunks()), concurrently
+  /// on up to threads() threads; a chunk typically runs a kernel over
+  /// plan().morsels[chunk].bounds. `fn` must be safe to run concurrently
+  /// for distinct chunks; chunk index order equals sequential stream
+  /// order, so writing chunk results into per-index slots and
+  /// concatenating reproduces sequential output exactly. Every chunk runs
+  /// under the caller's ExecContext (re-bound on pool threads) after a
+  /// cancellation probe and the "enumerate_morsel" fault site. Rethrows
+  /// the first exception a chunk throws.
   void ForEachChunk(const std::function<void(size_t)>& fn) const;
 
  private:
-  const FRep* rep_;
-  bool visible_only_;
   int threads_;
   MorselPlan plan_;
 };

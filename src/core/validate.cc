@@ -361,7 +361,7 @@ double ExtCount(const MorselCtx& c, const UnionRef& u, size_t e) {
 }
 
 // Resolves the union of frame `f` under the pinned prefix `bounds[0, f)`,
-// exactly like the planner and the range-restricted TupleEnumerator do.
+// exactly like the planner and a range-restricted kernel run do.
 // `chain` caches the resolved union per frame.
 uint32_t ResolveUnion(const MorselCtx& c, const std::vector<EntryBound>& bounds,
                       const std::vector<uint32_t>& chain, size_t f) {

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "core/aggregate.h"
@@ -28,9 +30,12 @@ struct Ref {
 
 Ref Enumerated(const FRep& rep, AttrId attr) {
   Ref ref;
-  TupleEnumerator en(rep);
-  while (en.Next()) {
-    Value v = en.ValueOf(attr);
+  const std::vector<AttrId> attrs = rep.tree().AllAttrs().ToVector();
+  const size_t col = static_cast<size_t>(
+      std::find(attrs.begin(), attrs.end(), attr) - attrs.begin());
+  for (const std::vector<Value>& t :
+       testing_util::ReferenceTuples(rep, /*visible_only=*/false)) {
+    Value v = t[col];
     ref.count += 1;
     ref.sum += static_cast<double>(v);
     ref.min = std::min(ref.min, v);

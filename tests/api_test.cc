@@ -122,8 +122,7 @@ TEST(Engine, EmptyDatabaseQuery) {
   FdbResult res = engine.EvaluateFlat(q);
   EXPECT_TRUE(res.rep.empty());
   EXPECT_EQ(res.FlatTuples(), 0.0);
-  TupleEnumerator en(res.rep);
-  EXPECT_FALSE(en.Next());
+  EXPECT_EQ(engine.MaterializeResult(res).size(), 0u);
 }
 
 TEST(Engine, SelfJoinViaAliasedRelation) {

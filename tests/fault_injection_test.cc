@@ -19,6 +19,7 @@
 
 #include "common/exec_context.h"
 #include "common/fault.h"
+#include "core/aggregate.h"
 #include "core/ground.h"
 #include "core/kernel.h"
 #include "core/parallel_enumerate.h"
@@ -166,6 +167,11 @@ TEST_F(FaultInjectionTest, EnumerationSitesUnwindCleanly) {
   opts.threads = 2;
   opts.parallel_cutoff = 1;  // force morsel dispatch through the pool
   const Relation clean = MaterializeVisible(rep, opts, &kernel, nullptr);
+  // The grouped materialisation runs through the same sites.
+  const GroupedRep grouped =
+      GroupByAggregate(rep, AttrSet::Of({0}), {{AggFn::kCount, 0},
+                                               {AggFn::kSum, 1}});
+  const GroupedTable clean_groups = grouped.Materialize(opts);
 
   for (const char* site : {"enumerate_morsel", "kernel_run"}) {
     fault::Arm(site, {fault::Kind::kBadAlloc, 0, 1, 0.0});
@@ -176,6 +182,11 @@ TEST_F(FaultInjectionTest, EnumerationSitesUnwindCleanly) {
     Relation retry = MaterializeVisible(rep, opts, &kernel, nullptr);
     EXPECT_EQ(retry.size(), clean.size()) << site;
     EXPECT_TRUE(testing_util::SameRelation(rep, retry)) << site;
+
+    fault::Arm(site, {fault::Kind::kBadAlloc, 0, 1, 0.0});
+    EXPECT_THROW(grouped.Materialize(opts), std::bad_alloc) << site;
+    fault::DisarmAll();
+    EXPECT_TRUE(grouped.Materialize(opts) == clean_groups) << site;
   }
 }
 

@@ -9,6 +9,8 @@
 namespace fdb {
 namespace {
 
+using testing_util::KernelTuples;
+
 Relation MakeRel(std::vector<AttrId> schema,
                  std::vector<std::vector<Value>> rows) {
   Relation r(std::move(schema));
@@ -60,20 +62,17 @@ TEST(FRep, EnumerationMatchesRelation) {
 TEST(FRep, EnumerationOrderAndDelay) {
   Relation r = MakeRel({0, 1}, {{2, 5}, {1, 7}, {1, 4}});
   FRep rep = GroundRelation(r, 0);
-  TupleEnumerator en(rep);
-  std::vector<std::pair<Value, Value>> got;
-  while (en.Next()) got.emplace_back(en.ValueOf(0), en.ValueOf(1));
+  const std::vector<std::vector<Value>> got = KernelTuples(rep, false);
   // Lexicographic by the path f-tree order.
   ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0], std::make_pair(int64_t{1}, int64_t{4}));
-  EXPECT_EQ(got[1], std::make_pair(int64_t{1}, int64_t{7}));
-  EXPECT_EQ(got[2], std::make_pair(int64_t{2}, int64_t{5}));
+  EXPECT_EQ(got[0], (std::vector<Value>{1, 4}));
+  EXPECT_EQ(got[1], (std::vector<Value>{1, 7}));
+  EXPECT_EQ(got[2], (std::vector<Value>{2, 5}));
 }
 
 TEST(FRep, EnumeratorOnEmptyRep) {
   FRep rep{PathFTree({0}, 0)};
-  TupleEnumerator en(rep);
-  EXPECT_FALSE(en.Next());
+  EXPECT_TRUE(KernelTuples(rep, false).empty());
 }
 
 TEST(FRep, NullaryRelation) {
@@ -81,9 +80,9 @@ TEST(FRep, NullaryRelation) {
   rep.MarkNonEmpty();
   rep.Validate();
   EXPECT_EQ(rep.CountTuples(), 1.0);
-  TupleEnumerator en(rep);
-  EXPECT_TRUE(en.Next());   // the single nullary tuple
-  EXPECT_FALSE(en.Next());
+  // The single nullary tuple.
+  EXPECT_EQ(KernelTuples(rep, false),
+            (std::vector<std::vector<Value>>{{}}));
 }
 
 // A deferred-projection f-tree: the node of `invisible` stays in the tree
@@ -112,15 +111,12 @@ TEST(FRep, VisibleOnlyEnumerationSkipsInvisibleSubtrees) {
   FRep rep = GroundQuery(DeferredProjectionTree(0, 1, false), {&r});
   rep.Validate();
 
-  TupleEnumerator full(rep);
-  size_t full_count = 0;
-  while (full.Next()) ++full_count;
-  EXPECT_EQ(full_count, 3u);  // distinct tuples over all attributes
+  // Distinct tuples over all attributes.
+  EXPECT_EQ(KernelTuples(rep, /*visible_only=*/false).size(), 3u);
 
-  TupleEnumerator vis(rep, /*visible_only=*/true);
-  std::vector<Value> got;
-  while (vis.Next()) got.push_back(vis.ValueOf(0));
-  EXPECT_EQ(got, (std::vector<Value>{1, 2}));  // no duplicate visible tuple
+  // No duplicate visible tuple.
+  EXPECT_EQ(KernelTuples(rep, /*visible_only=*/true),
+            (std::vector<std::vector<Value>>{{1}, {2}}));
 
   Relation m = MaterializeVisible(rep);
   EXPECT_EQ(m.size(), 2u);
@@ -129,16 +125,15 @@ TEST(FRep, VisibleOnlyEnumerationSkipsInvisibleSubtrees) {
 TEST(FRep, VisibleOnlyEnumerationKeepsVisibleDescendants) {
   // A (invisible) -> B (visible): the invisible node has a visible
   // descendant, so its frames must stay in the odometer; duplicates that
-  // are a property of the data (both A-values lead to B=10) remain and
-  // MaterializeVisible removes them by sort+dedup.
+  // are a property of the data (both A-values lead to B=10) remain in the
+  // kernel stream; MaterializeVisible sinks A below B first
+  // (PlanOutputOrder), so they never reach its output.
   Relation r = MakeRel({0, 1}, {{1, 10}, {2, 10}, {2, 20}});
   FRep rep = GroundQuery(DeferredProjectionTree(1, 0, true), {&r});
   rep.Validate();
 
-  TupleEnumerator vis(rep, /*visible_only=*/true);
-  std::vector<Value> got;
-  while (vis.Next()) got.push_back(vis.ValueOf(1));
-  EXPECT_EQ(got.size(), 3u);  // data duplicate B=10 still streams twice
+  // The data duplicate B=10 still streams twice.
+  EXPECT_EQ(KernelTuples(rep, /*visible_only=*/true).size(), 3u);
 
   Relation m = MaterializeVisible(rep);
   EXPECT_EQ(m.size(), 2u);  // {10, 20}
@@ -151,9 +146,8 @@ TEST(FRep, VisibleOnlyEnumerationOfFullyInvisibleRep) {
   t.node(t.FindAttr(0)).visible = {};
   FRep rep = GroundQuery(t, {&r});
 
-  TupleEnumerator vis(rep, /*visible_only=*/true);
-  EXPECT_TRUE(vis.Next());
-  EXPECT_FALSE(vis.Next());
+  EXPECT_EQ(KernelTuples(rep, /*visible_only=*/true),
+            (std::vector<std::vector<Value>>{{}}));
   EXPECT_EQ(MaterializeVisible(rep).size(), 1u);
 }
 

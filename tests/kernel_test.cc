@@ -2,7 +2,8 @@
 //
 // The kernel contract is byte-identity: for every representation shape,
 // visibility mode and morsel restriction, EnumKernel::Emit and EmitTo must
-// reproduce the interpreted TupleEnumerator stream value for value, and
+// reproduce the test-only reference walker (testing_util::ReferenceTuples)
+// value for value, EmitEntries must name the entries behind every row, and
 // MaterializeVisible must give the same relation for every thread count
 // whether it is handed a matching, mismatching or null kernel. The SIMD
 // primitives are checked against their std:: reference implementations on
@@ -10,6 +11,7 @@
 // ASan/TSan/UBSan in CI alongside the serve suite.
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -146,7 +148,7 @@ TEST(Simd, IntersectSortedGallopsBothWays) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel differential tests: compiled output == interpreted output.
+// Kernel differential tests: compiled output == reference walker output.
 // ---------------------------------------------------------------------------
 
 Relation RandomRelation(std::vector<AttrId> schema, size_t rows,
@@ -161,33 +163,46 @@ Relation RandomRelation(std::vector<AttrId> schema, size_t rows,
   return r;
 }
 
-// The interpreted stream flattened in the kernel's schema order — the
-// byte-identity reference for Emit.
-std::vector<Value> InterpretedFlat(const FRep& rep, const EnumKernel& k) {
-  TupleEnumerator en(rep, k.visible_only());
-  std::vector<Value> out;
-  while (en.Next()) {
-    for (AttrId a : k.schema()) out.push_back(en.ValueOf(a));
+// Every row's entries (EmitEntries) must name the values Emit wrote: the
+// value of step i's entry fills the schema columns of step i's class.
+void CheckEntries(const FRep& rep, const EnumKernel& k,
+                  std::span<const EntryBound> bounds) {
+  std::vector<Value> vals;
+  std::vector<size_t> entries;
+  const uint64_t rows = k.Emit(rep, bounds, &vals);
+  ASSERT_EQ(k.EmitEntries(rep, bounds, &entries), rows);
+  const size_t nf = k.num_steps(), arity = k.schema().size();
+  ASSERT_EQ(entries.size(), nf * rows);
+  for (size_t r = 0; r < rows; ++r) {
+    for (size_t i = 0; i < nf; ++i) {
+      const Value v = rep.ValueAt(entries[r * nf + i]);
+      for (AttrId a : rep.tree().node(k.step_node(i)).attrs) {
+        const std::vector<AttrId>& schema = k.schema();
+        const auto col = std::find(schema.begin(), schema.end(), a);
+        if (col == schema.end()) continue;
+        const size_t c = static_cast<size_t>(col - schema.begin());
+        EXPECT_EQ(vals[r * arity + c], v) << "row " << r << " step " << i;
+      }
+    }
   }
-  return out;
-}
-
-uint64_t InterpretedRows(const FRep& rep, bool visible_only) {
-  TupleEnumerator en(rep, visible_only);
-  uint64_t n = 0;
-  while (en.Next()) ++n;
-  return n;
 }
 
 // Full matrix on one rep: both visibility modes, whole-stream and
-// morsel-restricted runs, count mode, and the kernel-aware materialiser
-// across thread counts. Everything must equal the interpreted reference.
+// morsel-restricted runs, count and entries modes, and the kernel-aware
+// materialiser across thread counts. Everything must equal the reference
+// walker.
 void CheckKernel(const FRep& rep) {
   for (bool visible_only : {false, true}) {
     EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
     EXPECT_TRUE(k.Matches(rep.tree()));
-    const std::vector<Value> expect = InterpretedFlat(rep, k);
-    const uint64_t expect_rows = InterpretedRows(rep, visible_only);
+    const std::vector<std::vector<Value>> ref =
+        testing_util::ReferenceTuples(rep, visible_only);
+    std::vector<Value> expect;
+    for (const std::vector<Value>& t : ref) {
+      expect.insert(expect.end(), t.begin(), t.end());
+    }
+    const uint64_t expect_rows = ref.size();
+    CheckEntries(rep, k, {});
 
     std::vector<Value> got;
     EXPECT_EQ(k.Emit(rep, {}, &got), expect_rows) << visible_only;
@@ -203,6 +218,7 @@ void CheckKernel(const FRep& rep) {
       for (const Morsel& m : plan.morsels) {
         const uint64_t r = k.Emit(rep, m.bounds, &chunked);
         EXPECT_EQ(k.CountRows(rep, m.bounds), r);  // count mode agrees
+        CheckEntries(rep, k, m.bounds);
         rows += r;
       }
       EXPECT_EQ(chunked, expect)
@@ -343,7 +359,7 @@ TEST(Kernel, BoundsContract) {
   FRep rep = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
   EnumKernel k = EnumKernel::Compile(rep.tree(), false);
   std::vector<Value> out;
-  // Same rejection rules as the TupleEnumerator bounds constructor.
+  // The bounds contract of kernel.h: malformed chains are rejected.
   EXPECT_THROW(k.Emit(rep, std::vector<EntryBound>{{0, 2}, {0, 1}}, &out),
                FdbError);
   EXPECT_THROW(k.Emit(rep, std::vector<EntryBound>{{1, 1}}, &out), FdbError);

@@ -72,9 +72,12 @@ TEST(OpsEdge, MergeCascadeEmptiesDeepBranch) {
   FRep merged = Merge(rep, 1, 4);
   merged.Validate();
   EXPECT_EQ(merged.CountTuples(), 1.0);
-  TupleEnumerator en(merged);
-  ASSERT_TRUE(en.Next());
-  EXPECT_EQ(en.ValueOf(2), 10);  // X of the surviving group intact
+  const std::vector<std::vector<Value>> tuples =
+      testing_util::KernelTuples(merged, /*visible_only=*/false);
+  ASSERT_EQ(tuples.size(), 1u);
+  ASSERT_EQ(merged.tree().AllAttrs().ToVector(),
+            (std::vector<AttrId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(tuples[0][2], 10);  // X of the surviving group intact
 }
 
 TEST(OpsEdge, AbsorbThenAbsorbOnSamePath) {

@@ -300,11 +300,14 @@ TEST(Merge, InteriorSiblingsWithCascade) {
   FRep merged = Merge(rep, 1, 3);
   merged.Validate();
   EXPECT_EQ(merged.CountTuples(), 1.0);
-  TupleEnumerator en(merged);
-  ASSERT_TRUE(en.Next());
-  EXPECT_EQ(en.ValueOf(0), 1);
-  EXPECT_EQ(en.ValueOf(1), 5);
-  EXPECT_EQ(en.ValueOf(3), 5);
+  const std::vector<std::vector<Value>> tuples =
+      testing_util::KernelTuples(merged, /*visible_only=*/false);
+  ASSERT_EQ(tuples.size(), 1u);
+  const std::vector<AttrId> attrs = merged.tree().AllAttrs().ToVector();
+  ASSERT_EQ(attrs, (std::vector<AttrId>{0, 1, 2, 3}));
+  EXPECT_EQ(tuples[0][0], 1);
+  EXPECT_EQ(tuples[0][1], 5);
+  EXPECT_EQ(tuples[0][3], 5);
 }
 
 TEST(Merge, SameClassIsNoOp) {

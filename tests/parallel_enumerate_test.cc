@@ -1,10 +1,11 @@
 // Parallel chunked enumeration: the morsel planner must partition the
-// stream exactly, and ParallelEnumerator's chunks — concatenated in chunk
-// order — must reproduce the sequential TupleEnumerator stream tuple for
-// tuple, for every thread count, morsel size, visibility mode and rep
-// shape (including empty and nullary reps). The MaterializeVisible sink is
-// checked differentially against the flat baseline on seeded random
-// instances. Runs under ThreadSanitizer in CI alongside the serve suite.
+// stream exactly, and one kernel run per ParallelEnumerator chunk —
+// concatenated in chunk order — must reproduce the sequential stream of
+// the test-only reference walker tuple for tuple, for every thread count,
+// morsel size, visibility mode and rep shape (including empty and nullary
+// reps). The MaterializeVisible sink is checked differentially against the
+// flat baseline on seeded random instances. Runs under ThreadSanitizer in
+// CI alongside the serve suite.
 #include <algorithm>
 #include <mutex>
 #include <vector>
@@ -20,6 +21,7 @@
 #include "core/enumerate.h"
 #include "core/fplan.h"
 #include "core/ground.h"
+#include "core/kernel.h"
 #include "core/ops.h"
 #include "core/parallel_enumerate.h"
 #include "storage/query.h"
@@ -30,45 +32,31 @@ namespace {
 
 using Tuples = std::vector<std::vector<Value>>;
 
-std::vector<AttrId> StreamAttrs(const FRep& rep, bool visible_only) {
-  AttrSet s;
-  for (int n : rep.tree().AliveNodes()) {
-    const FTreeNode& nd = rep.tree().node(n);
-    s = s.Union(visible_only ? nd.visible : nd.attrs);
-  }
-  return s.ToVector();
-}
-
-Tuples Drain(TupleEnumerator& en, const std::vector<AttrId>& attrs) {
-  Tuples out;
-  while (en.Next()) {
-    std::vector<Value> t(attrs.size());
-    for (size_t c = 0; c < attrs.size(); ++c) t[c] = en.ValueOf(attrs[c]);
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
 Tuples SequentialStream(const FRep& rep, bool visible_only) {
-  TupleEnumerator en(rep, visible_only);
-  return Drain(en, StreamAttrs(rep, visible_only));
+  return testing_util::ReferenceTuples(rep, visible_only);
 }
 
-// Runs a ParallelEnumerator and concatenates the per-chunk streams by
-// chunk index; `chunks_out` (optional) receives the chunk count.
+// Runs one kernel per ParallelEnumerator chunk and concatenates the
+// per-chunk streams by chunk index; `chunks_out` (optional) receives the
+// chunk count.
 Tuples ParallelStream(const FRep& rep, bool visible_only,
                       const EnumerateOptions& opts,
                       size_t* chunks_out = nullptr) {
-  std::vector<AttrId> attrs = StreamAttrs(rep, visible_only);
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
   ParallelEnumerator pe(rep, opts, visible_only);
   if (chunks_out != nullptr) *chunks_out = pe.num_chunks();
-  std::vector<Tuples> parts(pe.num_chunks());
-  pe.Enumerate([&](size_t c, TupleEnumerator& en) {
-    parts[c] = Drain(en, attrs);
+  std::vector<std::vector<Value>> parts(pe.num_chunks());
+  std::vector<uint64_t> rows(pe.num_chunks(), 0);
+  pe.ForEachChunk([&](size_t c) {
+    rows[c] = k.Emit(rep, pe.plan().morsels[c].bounds, &parts[c]);
   });
+  const size_t arity = k.schema().size();
   Tuples all;
-  for (Tuples& p : parts) {
-    all.insert(all.end(), p.begin(), p.end());
+  for (size_t c = 0; c < parts.size(); ++c) {
+    for (size_t r = 0; r < rows[c]; ++r) {
+      all.emplace_back(parts[c].begin() + r * arity,
+                       parts[c].begin() + (r + 1) * arity);
+    }
   }
   return all;
 }
@@ -220,17 +208,18 @@ TEST(ParallelEnumerate, FullyInvisibleRepVisibleOnly) {
 }
 
 TEST(ParallelEnumerate, BoundsContract) {
+  // The kernel.h bounds contract, through count mode.
   FRep rep = GroundRelation(RandomRelation({0, 1}, 10, 4, 5), 0);
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), false);
+  using Bounds = std::vector<EntryBound>;
   // Non-pinned prefix bound is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{0, 2}, {0, 1}})), FdbError);
+  EXPECT_THROW(k.CountRows(rep, Bounds{{0, 2}, {0, 1}}), FdbError);
   // Empty range is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{1, 1}})), FdbError);
+  EXPECT_THROW(k.CountRows(rep, Bounds{{1, 1}}), FdbError);
   // More bounds than frames is rejected.
-  EXPECT_THROW((TupleEnumerator(rep, false, {{0, 1}, {0, 1}, {0, 1}})),
-               FdbError);
+  EXPECT_THROW(k.CountRows(rep, Bounds{{0, 1}, {0, 1}, {0, 1}}), FdbError);
   // A bound past the union's entries yields the empty stream.
-  TupleEnumerator miss(rep, false, {{1000, 1001}});
-  EXPECT_FALSE(miss.Next());
+  EXPECT_EQ(k.CountRows(rep, Bounds{{1000, 1001}}), 0u);
 }
 
 TEST(ParallelEnumerate, MaterializeVisibleParallelMatchesSequential) {
@@ -337,10 +326,11 @@ TEST(ParallelEnumerate, PlanCoversStreamExactly) {
   for (const Morsel& m : pe.plan().morsels) est_sum += m.est_tuples;
   EXPECT_NEAR(est_sum, pe.plan().est_total, 1e-6 * pe.plan().est_total);
   EXPECT_EQ(pe.plan().est_total, rep.CountTuples());
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), false);
   size_t streamed = 0;
-  pe.Enumerate([&](size_t, TupleEnumerator& en) {
-    size_t local = 0;
-    while (en.Next()) ++local;
+  pe.ForEachChunk([&](size_t c) {
+    std::vector<Value> buf;
+    const uint64_t local = k.Emit(rep, pe.plan().morsels[c].bounds, &buf);
     static std::mutex mu;
     std::lock_guard<std::mutex> lock(mu);
     streamed += local;

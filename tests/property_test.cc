@@ -210,16 +210,8 @@ TEST_P(OutputOrder, SwapsYieldSortedDuplicateFreeStream) {
   out.Validate();
   EXPECT_EQ(out.tree().CanonicalKey(), ordered.CanonicalKey());
 
-  const std::vector<AttrId> schema = rep.tree().VisibleAttrs().ToVector();
-  auto stream = [&schema](const FRep& r) {
-    std::vector<std::vector<Value>> rows;
-    TupleEnumerator en(r, /*visible_only=*/true);
-    while (en.Next()) {
-      std::vector<Value> t;
-      for (AttrId a : schema) t.push_back(en.ValueOf(a));
-      rows.push_back(std::move(t));
-    }
-    return rows;
+  auto stream = [](const FRep& r) {
+    return testing_util::ReferenceTuples(r, /*visible_only=*/true);
   };
   const std::vector<std::vector<Value>> in_rows = stream(rep);
   const std::set<std::vector<Value>> expect(in_rows.begin(), in_rows.end());

@@ -10,6 +10,8 @@
 #include "api/database.h"
 #include "api/engine.h"
 #include "core/enumerate.h"
+#include "core/kernel.h"
+#include "core/parallel_enumerate.h"
 
 namespace fdb {
 namespace testing_util {
@@ -101,6 +103,67 @@ inline bool SameRelation(const FRep& rep, const Relation& flat) {
   }
   rhs2.SortLex();
   return lhs == rhs2;
+}
+
+// Reference enumeration, the oracle of the kernel's byte-identity tests:
+// an obviously correct recursive walk over the same frames the kernel
+// lowers (BuildPreOrderFrames), without bounds. Returns the stream's
+// tuples in order, each in increasing attribute id order over the
+// stream's attributes (all of them, or the visible ones with
+// `visible_only` — the kernel's schema()). The nullary stream is one
+// empty tuple; the empty rep streams nothing.
+inline std::vector<std::vector<Value>> ReferenceTuples(const FRep& rep,
+                                                       bool visible_only) {
+  std::vector<std::vector<Value>> out;
+  if (rep.empty()) return out;
+  const FTree& t = rep.tree();
+  const std::vector<char> keep = VisibleKeepMask(t);
+  const std::vector<PreOrderFrame> frames =
+      BuildPreOrderFrames(t, visible_only ? &keep : nullptr);
+  const std::vector<AttrId> schema =
+      (visible_only ? t.VisibleAttrs() : t.AllAttrs()).ToVector();
+  std::vector<uint32_t> uid(frames.size());
+  std::vector<size_t> entry(frames.size());
+  std::vector<Value> value_of(kMaxAttrs, 0);
+  auto walk = [&](auto&& self, size_t i) -> void {
+    if (i == frames.size()) {
+      std::vector<Value> tuple;
+      for (AttrId a : schema) tuple.push_back(value_of[a]);
+      out.push_back(std::move(tuple));
+      return;
+    }
+    const PreOrderFrame& f = frames[i];
+    if (f.parent_pos < 0) {
+      uid[i] = rep.roots()[f.slot];
+    } else {
+      const size_t p = static_cast<size_t>(f.parent_pos);
+      uid[i] = rep.u(uid[p]).Child(
+          entry[p], f.slot, t.node(frames[p].node).children.size());
+    }
+    const UnionRef u = rep.u(uid[i]);
+    for (entry[i] = 0; entry[i] < u.size(); ++entry[i]) {
+      for (AttrId a : t.node(f.node).attrs) value_of[a] = u.value(entry[i]);
+      self(self, i + 1);
+    }
+  };
+  walk(walk, 0);
+  return out;
+}
+
+// The library's stream of `rep`: one whole-stream EnumKernel run, split
+// into tuples of the kernel's schema (same layout as ReferenceTuples).
+inline std::vector<std::vector<Value>> KernelTuples(const FRep& rep,
+                                                    bool visible_only) {
+  const EnumKernel k = EnumKernel::Compile(rep.tree(), visible_only);
+  std::vector<Value> flat;
+  const uint64_t rows = k.Emit(rep, {}, &flat);
+  const size_t arity = k.schema().size();
+  std::vector<std::vector<Value>> out;
+  for (size_t r = 0; r < rows; ++r) {
+    out.emplace_back(flat.begin() + static_cast<ptrdiff_t>(r * arity),
+                     flat.begin() + static_cast<ptrdiff_t>((r + 1) * arity));
+  }
+  return out;
 }
 
 }  // namespace testing_util

@@ -240,18 +240,39 @@ TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {
   LoadDemo(&db);
   Engine engine(&db);
   QueryTrace trace;
+  size_t swaps = 0;
   {
     QueryTrace::Scope root(&trace, "query");
     Query q = engine.Parse(
         "SELECT warehouse, COUNT(*) FROM orders, stock "
         "WHERE item = sitem GROUP BY warehouse");
-    engine.ExecuteTraced(q, &trace);
+    const FdbResult res = engine.ExecuteTraced(q, &trace);
+    for (const PlanStep& step : res.plan.steps) {
+      swaps += step.kind == PlanStep::Kind::kSwap ? 1 : 0;
+    }
   }
   std::map<std::string, int> spans = IndexByName(trace);
   ASSERT_TRUE(spans.count("restructure-aggregate"));
   ASSERT_TRUE(spans.count("materialize-groups"));
   EXPECT_TRUE(trace.spans()[spans["materialize-groups"]].has_rows);
   EXPECT_EQ(trace.spans()[spans["materialize-groups"]].rows, 2u);
+  // GroupByAggregate splits its span into restructure (rows = swaps,
+  // bytes = restructured rep) and collapse (bytes = grouped rep).
+  ASSERT_TRUE(spans.count("restructure"));
+  ASSERT_TRUE(spans.count("collapse"));
+  const QueryTrace::Span& agg = trace.spans()[spans["restructure-aggregate"]];
+  const QueryTrace::Span& restructure = trace.spans()[spans["restructure"]];
+  const QueryTrace::Span& collapse = trace.spans()[spans["collapse"]];
+  EXPECT_EQ(restructure.parent, spans["restructure-aggregate"]);
+  EXPECT_EQ(collapse.parent, spans["restructure-aggregate"]);
+  EXPECT_LT(spans["restructure"], spans["collapse"]);
+  EXPECT_TRUE(restructure.has_rows);
+  EXPECT_EQ(restructure.rows, swaps);
+  EXPECT_TRUE(restructure.has_bytes);
+  EXPECT_GT(restructure.bytes, 0u);
+  EXPECT_TRUE(collapse.has_bytes);
+  EXPECT_EQ(collapse.bytes, agg.bytes);  // both are the grouped rep
+  EXPECT_LE(restructure.seconds + collapse.seconds, agg.seconds);
   // No materialisation-sink spans: aggregate output is a grouped table.
   EXPECT_FALSE(spans.count("order-restructure"));
   EXPECT_FALSE(spans.count("emit"));

@@ -172,9 +172,9 @@ class Engine {
   /// SPJ path runs EvaluateFlat *and* materialises the visible relation —
   /// through `kernel` when it matches (see MaterializeResult) — so the
   /// trace covers order restructuring, morsel planning and emission. This
-  /// is the execution core of EXPLAIN ANALYZE, both here and in the serve
-  /// path, which wraps it in its own root/parse/cache-lookup spans
-  /// (serve/query_server.h).
+  /// is the one execution dispatch of Execute and of the serve path
+  /// (serve/query_server.h), which wraps traced runs in its own
+  /// root/parse/cache-lookup spans.
   FdbResult ExecuteTraced(const Query& q, QueryTrace* trace,
                           const FTreeSearchResult* pretree = nullptr,
                           const EnumKernel* kernel = nullptr);

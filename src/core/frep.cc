@@ -71,8 +71,8 @@ size_t FRep::MemoryBytes() const {
 
 namespace {
 
-// Shared iterative post-order DP over the union DAG (operators may share
-// subtrees, e.g. push-up hoists one copy). `Num` is the accumulator type;
+// Shared iterative post-order DP over the union DAG (hand-built or
+// deserialised reps may share subtrees; operator output does not). `Num` is the accumulator type;
 // `mul`/`add` fold two values and return false on saturation, which aborts
 // the whole pass.
 template <typename Num, typename Mul, typename Add>
@@ -250,7 +250,7 @@ void FRep::Validate() const {
   while (!stack.empty()) {
     uint32_t id = stack.back();
     stack.pop_back();
-    if (seen[id]) continue;  // sharing is allowed (push-up hoists copies)
+    if (seen[id]) continue;  // sharing is legal (e.g. deserialised DAGs)
     seen[id] = 1;
     UnionRef un = u(id);
     const FTreeNode& nd = tree_.node(un.node());

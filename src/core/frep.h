@@ -125,6 +125,8 @@ class UnionBuilder {
   void AddValues(const Value* v, size_t n);
   /// Bulk-appends every value of `u` (typically a union of another FRep).
   void CopyValues(const UnionRef& u);
+  /// Unstages the last `n` child ids (an entry dropped mid-build).
+  void DropChildren(size_t n);
 
   /// Commits the staged entries to the arena; returns the union id.
   uint32_t Finish();
@@ -335,6 +337,9 @@ inline void UnionBuilder::AddValues(const Value* v, size_t n) {
 }
 inline void UnionBuilder::CopyValues(const UnionRef& u) {
   AddValues(u.values(), u.size());
+}
+inline void UnionBuilder::DropChildren(size_t n) {
+  s_->kids.resize(s_->kids.size() - n);
 }
 
 inline UnionBuilder::UnionBuilder(UnionBuilder&& other) noexcept

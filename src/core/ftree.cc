@@ -144,30 +144,38 @@ void FTree::PushUpTree(int b) {
   }
 }
 
-int FTree::NormalizeTree() {
-  int pushes = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (size_t i = 0; i < nodes_.size(); ++i) {
-      int n = static_cast<int>(i);
-      if (!nodes_[i].alive) continue;
-      if (CanPushUp(n)) {
-        PushUpTree(n);
-        ++pushes;
-        changed = true;
-        break;  // restart the scan: indices above may now be liftable
-      }
+int FTree::NextPushUp() const {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].alive && CanPushUp(static_cast<int>(i))) {
+      return static_cast<int>(i);
     }
   }
+  return -1;
+}
+
+int FTree::NormalizeTree() {
+  int pushes = 0;
+  for (int n; (n = NextPushUp()) != -1; ++pushes) PushUpTree(n);
   return pushes;
 }
 
-bool FTree::IsNormalized() const {
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].alive && CanPushUp(static_cast<int>(i))) return false;
+void FTree::RestrictVisible(AttrSet keep) {
+  for (FTreeNode& nd : nodes_) {
+    if (nd.alive) nd.visible = nd.visible.Intersect(keep);
   }
-  return true;
+}
+
+int FTree::NextToProject() const {
+  int pick = -1, pick_depth = -1;
+  for (int n : AliveNodes()) {
+    if (!node(n).visible.Empty()) continue;
+    const int d = Depth(n);
+    if (d > pick_depth) {
+      pick = n;
+      pick_depth = d;
+    }
+  }
+  return pick;
 }
 
 void FTree::SwapTree(int a, int b) {

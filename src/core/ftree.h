@@ -105,13 +105,28 @@ class FTree {
   /// Caller must ensure CanPushUp(b).
   void PushUpTree(int b);
 
-  /// Repeated push-ups until no node can be lifted (eta). Scans alive nodes
-  /// in id order and restarts after every push, so the result is
-  /// deterministic. Returns the number of push-ups performed.
+  /// The node normalisation lifts next: the alive node of lowest id that
+  /// CanPushUp, or -1 when the tree is normalised. Normalize (core/ops.h)
+  /// and NormalizeTree both follow this rule, so their trees agree.
+  int NextPushUp() const;
+
+  /// Repeated push-ups until no node can be lifted (eta), in NextPushUp
+  /// order. Returns the number of push-ups performed.
   int NormalizeTree();
 
   /// True if no push-up is possible (Def. 3).
-  bool IsNormalized() const;
+  bool IsNormalized() const { return NextPushUp() == -1; }
+
+  /// Intersects every alive node's visible set with `keep` (the marking
+  /// step of projection, §3.4).
+  void RestrictVisible(AttrSet keep);
+
+  /// The node projection handles next: the deepest alive node with no
+  /// visible attribute (lowest id among equally deep ones), or -1. A leaf
+  /// is removed (RemoveLeaf); an inner node sinks by a swap with its first
+  /// child. Project (core/ops.h) and the f-plan simulation both follow
+  /// this rule.
+  int NextToProject() const;
 
   /// chi_{A,B}: exchanges child `b` with its parent `a`. b takes a's
   /// position; a becomes b's last child; b's children that depend on a

@@ -10,6 +10,16 @@
 //
 // Nodes are addressed by any attribute of their class, which is stable
 // across restructuring (classes only ever grow, by merge/absorb).
+//
+// Shared rebuild contract (core/ops_common.h). Every operator except
+// Product changes the unions of one f-tree node and carries the rest over
+// through one walk, RebuildForest: unions on the paths from the roots to
+// that node are rebuilt entry by entry, every other subtree is copied
+// verbatim, an entry whose rebuilt child came back empty is dropped (the
+// emptiness cascade), and the result is empty when a root union empties.
+// Copies are unmemoised (CopyTree, which Product uses too), so operator
+// output is tree-shaped (every union has exactly one parent reference)
+// even when the input shares subtrees.
 #ifndef FDB_CORE_OPS_H_
 #define FDB_CORE_OPS_H_
 

@@ -11,6 +11,9 @@ namespace fdb {
 
 using ops_internal::CopyTree;
 using ops_internal::kNoUnion;
+using ops_internal::RebuildEntries;
+using ops_internal::RebuildForest;
+using ops_internal::RebuildPath;
 using ops_internal::SubtreeContains;
 
 // mu_{A,B} (§3.3, Fig. 3(c)): sort-merge join of two sibling unions. The
@@ -59,9 +62,9 @@ FRep Merge(const FRep& in, AttrId a_attr, AttrId b_attr) {
     return m.Finish();
   };
 
-  out.MarkNonEmpty();
   if (p == -1) {
     // Two root unions join at the top level.
+    out.MarkNonEmpty();
     uint32_t ida = kNoUnion, idb = kNoUnion;
     for (size_t i = 0; i < in.roots().size(); ++i) {
       int n = in.u(in.roots()[i]).node();
@@ -89,67 +92,33 @@ FRep Merge(const FRep& in, AttrId a_attr, AttrId b_attr) {
 
   // Interior case: rebuild along the path to P; P-entries whose sibling
   // unions have an empty intersection are dropped, cascading upwards.
-  std::vector<char> on_path = SubtreeContains(t, p);
   const size_t kp = t.node(p).children.size();
   const auto& p_children = t.node(p).children;
   const size_t slot_a = static_cast<size_t>(
       std::find(p_children.begin(), p_children.end(), a) - p_children.begin());
   const size_t slot_b = static_cast<size_t>(
       std::find(p_children.begin(), p_children.end(), b) - p_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
+  RebuildForest(in, p, &out, [&](uint32_t id) -> uint32_t {
     UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    std::vector<uint32_t> kept;
+    UnionBuilder nu = out.StartUnion(p);
     for (size_t e = 0; e < un.size(); ++e) {
-      kept.clear();
-      bool dead = false;
-      if (un.node() == p) {
-        uint32_t merged =
-            merge_unions(un.Child(e, slot_a, kp), un.Child(e, slot_b, kp));
-        if (merged == kNoUnion) continue;
-        // New slot layout: old slots with B removed; merged union replaces A.
-        for (size_t j = 0; j < kp; ++j) {
-          if (j == slot_b) continue;
-          if (j == slot_a) {
-            kept.push_back(merged);
-          } else {
-            kept.push_back(CopyTree(in, un.Child(e, j, kp), &out));
-          }
-        }
-      } else {
-        for (size_t j = 0; j < k; ++j) {
-          uint32_t nc = self(self, un.Child(e, j, k));
-          if (nc == kNoUnion) {
-            dead = true;
-            break;
-          }
-          kept.push_back(nc);
-        }
-        if (dead) continue;
-      }
+      uint32_t merged =
+          merge_unions(un.Child(e, slot_a, kp), un.Child(e, slot_b, kp));
+      if (merged == kNoUnion) continue;
+      // New slot layout: old slots with B removed; merged union replaces A.
       nu.AddValue(un.value(e));
-      for (uint32_t c : kept) nu.AddChild(c);
+      for (size_t j = 0; j < kp; ++j) {
+        if (j == slot_b) continue;
+        nu.AddChild(j == slot_a ? merged
+                                : CopyTree(in, un.Child(e, j, kp), &out));
+      }
     }
     if (nu.empty()) {
       nu.Abandon();
       return kNoUnion;
     }
     return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) {
-    uint32_t nr = rec(rec, r);
-    if (nr == kNoUnion) {
-      out.MarkEmpty();
-      return out;
-    }
-    out.roots().push_back(nr);
-  }
+  });
   FDB_VALIDATE_REP(out);
   return out;
 }
@@ -166,72 +135,38 @@ FRep Absorb(const FRep& in, AttrId a_attr, AttrId b_attr) {
   FDB_CHECK_MSG(t.IsAncestor(a, b),
                 "absorb requires ancestor/descendant classes");
 
-  // ---- Phase 1: restrict (tree unchanged). ----
+  // ---- Phase 1: restrict (tree unchanged). Each A-entry rebuilds its
+  // paths down to B, keeping only the B-entry with the A-entry's value. ----
+  const size_t ka = t.node(a).children.size();
+  const size_t kb = t.node(b).children.size();
+  const std::vector<char> to_b = SubtreeContains(t, b);
   FRep mid(t);
-  std::vector<char> on_path = SubtreeContains(t, b);
   if (!in.empty()) {
-    mid.MarkNonEmpty();
-    auto rec = [&](auto&& self, uint32_t id, Value a_val,
-                   bool have_a) -> uint32_t {
-      UnionRef un = in.u(id);
-      if (!on_path[static_cast<size_t>(un.node())]) {
-        return CopyTree(in, id, &mid);
-      }
-      const size_t k = t.node(un.node()).children.size();
-      if (un.node() == b) {
-        FDB_CHECK_MSG(have_a, "B-union outside the scope of its A-ancestor");
-        // Branchless point lookup in the contiguous value window.
-        const size_t e = simd::FindValue(un.values(), un.size(), a_val);
-        if (e == un.size()) return kNoUnion;
-        UnionBuilder nu = mid.StartUnion(b);
-        nu.AddValue(a_val);
-        for (size_t j = 0; j < k; ++j) {
-          nu.AddChild(CopyTree(in, un.Child(e, j, k), &mid));
-        }
-        return nu.Finish();
-      }
-      UnionBuilder nu = mid.StartUnion(un.node());
-      std::vector<uint32_t> kept;
-      for (size_t e = 0; e < un.size(); ++e) {
-        Value av = un.node() == a ? un.value(e) : a_val;
-        bool ha = have_a || un.node() == a;
-        kept.clear();
-        bool dead = false;
-        for (size_t j = 0; j < k; ++j) {
-          uint32_t c = un.Child(e, j, k);
-          uint32_t nc = on_path[static_cast<size_t>(in.u(c).node())]
-                            ? self(self, c, av, ha)
-                            : CopyTree(in, c, &mid);
-          if (nc == kNoUnion) {
-            dead = true;
-            break;
+    RebuildForest(in, a, &mid, [&](uint32_t id) {
+      const UnionRef ua = in.u(id);
+      return RebuildEntries(ua, ka, &mid, [&](size_t e, size_t j) {
+        const Value av = ua.value(e);
+        auto restrict_b = [&](uint32_t bid) -> uint32_t {
+          const UnionRef ub = in.u(bid);
+          // Branchless point lookup in the contiguous value window.
+          const size_t i = simd::FindValue(ub.values(), ub.size(), av);
+          if (i == ub.size()) return kNoUnion;
+          UnionBuilder nu = mid.StartUnion(b);
+          nu.AddValue(av);
+          for (size_t s = 0; s < kb; ++s) {
+            nu.AddChild(CopyTree(in, ub.Child(i, s, kb), &mid));
           }
-          kept.push_back(nc);
-        }
-        if (dead) continue;
-        nu.AddValue(un.value(e));
-        for (uint32_t c : kept) nu.AddChild(c);
-      }
-      if (nu.empty()) {
-        nu.Abandon();
-        return kNoUnion;
-      }
-      return nu.Finish();
-    };
-    for (uint32_t r : in.roots()) {
-      uint32_t nr = rec(rec, r, 0, false);
-      if (nr == kNoUnion) {
-        mid.MarkEmpty();
-        break;
-      }
-      mid.roots().push_back(nr);
-    }
+          return nu.Finish();
+        };
+        return RebuildPath(in, ua.Child(e, j, ka), to_b, b, &mid, restrict_b);
+      });
+    });
   }
 
   // ---- Phase 2: fuse B into A; B's children take B's slot under its
   // parent. Every surviving B-union has exactly one entry. ----
   const int p = t.node(b).parent;
-  const size_t kb = t.node(b).children.size();
+  const size_t kp = t.node(p).children.size();
   const auto& p_children = t.node(p).children;
   const size_t slot_b = static_cast<size_t>(
       std::find(p_children.begin(), p_children.end(), b) - p_children.begin());
@@ -240,35 +175,27 @@ FRep Absorb(const FRep& in, AttrId a_attr, AttrId b_attr) {
   fused_tree.FuseTree(a, b);
   FRep out(std::move(fused_tree));
   if (mid.empty()) return Normalize(out);
-  out.MarkNonEmpty();
-
-  std::vector<char> to_p = SubtreeContains(t, p);
-  auto rec2 = [&](auto&& self, uint32_t id) -> uint32_t {
+  RebuildForest(mid, p, &out, [&](uint32_t id) {
     UnionRef un = mid.u(id);
-    if (!to_p[static_cast<size_t>(un.node())]) {
-      return CopyTree(mid, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
+    UnionBuilder nu = out.StartUnion(p);
     nu.CopyValues(un);
     for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t c = un.Child(e, j, k);
-        if (un.node() == p && j == slot_b) {
-          // Splice the single B entry's children into this slot.
-          UnionRef ub = mid.u(c);
-          FDB_CHECK(ub.size() == 1);
-          for (size_t s = 0; s < kb; ++s) {
-            nu.AddChild(CopyTree(mid, ub.Child(0, s, kb), &out));
-          }
-        } else {
-          nu.AddChild(self(self, c));
+      for (size_t j = 0; j < kp; ++j) {
+        uint32_t c = un.Child(e, j, kp);
+        if (j != slot_b) {
+          nu.AddChild(CopyTree(mid, c, &out));
+          continue;
+        }
+        // Splice the single B entry's children into this slot.
+        UnionRef ub = mid.u(c);
+        FDB_CHECK(ub.size() == 1);
+        for (size_t s = 0; s < kb; ++s) {
+          nu.AddChild(CopyTree(mid, ub.Child(0, s, kb), &out));
         }
       }
     }
     return nu.Finish();
-  };
-  for (uint32_t r : mid.roots()) out.roots().push_back(rec2(rec2, r));
+  });
 
   // ---- Phase 3: normalise (push up what the fuse made independent). ----
   return Normalize(out);

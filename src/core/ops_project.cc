@@ -7,7 +7,7 @@
 namespace fdb {
 
 using ops_internal::CopyTree;
-using ops_internal::SubtreeContains;
+using ops_internal::RebuildForest;
 
 namespace {
 
@@ -24,9 +24,9 @@ FRep RemoveInvisibleLeaf(const FRep& in, int n) {
 
   FRep out(std::move(new_tree));
   if (in.empty()) return out;
-  out.MarkNonEmpty();
 
   if (p == -1) {
+    out.MarkNonEmpty();
     for (uint32_t r : in.roots()) {
       if (in.u(r).node() == n) continue;
       out.roots().push_back(CopyTree(in, r, &out));
@@ -34,28 +34,22 @@ FRep RemoveInvisibleLeaf(const FRep& in, int n) {
     return out;
   }
 
-  std::vector<char> on_path = SubtreeContains(t, p);
   const auto& p_children = t.node(p).children;
+  const size_t kp = p_children.size();
   const size_t slot_n = static_cast<size_t>(
       std::find(p_children.begin(), p_children.end(), n) - p_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
+  RebuildForest(in, p, &out, [&](uint32_t id) {
     UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
+    UnionBuilder nu = out.StartUnion(p);
     nu.CopyValues(un);
     for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        if (un.node() == p && j == slot_n) continue;  // dropped slot
-        nu.AddChild(self(self, un.Child(e, j, k)));
+      for (size_t j = 0; j < kp; ++j) {
+        if (j == slot_n) continue;  // dropped slot
+        nu.AddChild(CopyTree(in, un.Child(e, j, kp), &out));
       }
     }
     return nu.Finish();
-  };
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
+  });
   FDB_VALIDATE_REP(out);
   return out;
 }
@@ -66,31 +60,15 @@ FRep RemoveInvisibleLeaf(const FRep& in, int n) {
 // swapping them with a child, remove them there, then normalise.
 FRep Project(const FRep& in, AttrSet keep) {
   FRep cur = in;
-  for (size_t i = 0; i < cur.tree().pool_size(); ++i) {
-    FTreeNode& nd = cur.tree().node(static_cast<int>(i));
-    if (nd.alive) nd.visible = nd.visible.Intersect(keep);
-  }
-
-  for (;;) {
-    // Deepest fully-invisible node first (fewer swaps to reach a leaf).
-    int pick = -1, pick_depth = -1;
-    for (int n : cur.tree().AliveNodes()) {
-      if (!cur.tree().node(n).visible.Empty()) continue;
-      int d = cur.tree().Depth(n);
-      if (d > pick_depth) {
-        pick = n;
-        pick_depth = d;
-      }
-    }
-    if (pick == -1) break;
-    const FTreeNode& nd = cur.tree().node(pick);
+  cur.tree().RestrictVisible(keep);
+  for (int n; (n = cur.tree().NextToProject()) != -1;) {
+    const FTreeNode& nd = cur.tree().node(n);
     if (nd.children.empty()) {
-      cur = RemoveInvisibleLeaf(cur, pick);
+      cur = RemoveInvisibleLeaf(cur, n);
     } else {
-      // chi_{pick, first child}: the child takes pick's place; pick sinks.
-      AttrId pa = nd.attrs.Min();
+      // chi_{n, first child}: the child takes n's place; n sinks.
       AttrId ca = cur.tree().node(nd.children.front()).attrs.Min();
-      cur = Swap(cur, pa, ca);
+      cur = Swap(cur, nd.attrs.Min(), ca);
     }
   }
   return Normalize(cur);

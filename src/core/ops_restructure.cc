@@ -8,14 +8,13 @@
 
 namespace fdb {
 
-// CopyTree (ops_common) is deliberately unmemoised here: operators always
-// produce tree-shaped representations (every union has exactly one parent
-// reference), so plain duplication is exact. Swap deliberately duplicates
-// the E_a subtrees per paired B-value — that is the size growth the paper's
-// bounds account for.
+// Both operators run the shared walk of ops_common.h (RebuildForest) and
+// keep only their step at one node. CopyTree is unmemoised, so the output
+// is tree-shaped: Swap deliberately duplicates the E_a subtrees per paired
+// B-value — that is the size growth the paper's bounds account for.
 using ops_internal::CopyTree;
 using ops_internal::kNoUnion;
-using ops_internal::SubtreeContains;
+using ops_internal::RebuildForest;
 
 FRep PushUp(const FRep& in, AttrId b_attr) {
   const FTree& t = in.tree();
@@ -38,7 +37,6 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
 
   FRep out(std::move(new_tree));
   if (in.empty()) return out;
-  out.MarkNonEmpty();
 
   // Rebuilds one occurrence of A's union without its B slot; the hoisted
   // B-union is taken from the first entry (all copies are equal because
@@ -60,6 +58,7 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
 
   if (g == -1) {
     // A is a root: the hoisted B becomes a new root right after A.
+    out.MarkNonEmpty();
     for (size_t i = 0; i < in.roots().size(); ++i) {
       uint32_t r = in.roots()[i];
       if (in.u(r).node() == a) {
@@ -76,68 +75,35 @@ FRep PushUp(const FRep& in, AttrId b_attr) {
 
   // Otherwise rebuild along the path to G; each G-entry gains a new last
   // slot holding the B-union extracted from that entry's A-union.
-  std::vector<char> on_path = SubtreeContains(t, g);
   const size_t kg = t.node(g).children.size();
   const auto& g_children = t.node(g).children;
   const size_t slot_a = static_cast<size_t>(
       std::find(g_children.begin(), g_children.end(), a) - g_children.begin());
-
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
+  RebuildForest(in, g, &out, [&](uint32_t id) {
     UnionRef un = in.u(id);
-    if (un.node() == g) {
-      UnionBuilder ng = out.StartUnion(g);
-      ng.CopyValues(un);
-      for (size_t e = 0; e < un.size(); ++e) {
-        uint32_t hb = kNoUnion;
-        for (size_t j = 0; j < kg; ++j) {
-          uint32_t c = un.Child(e, j, kg);
-          if (j == slot_a) {
-            ng.AddChild(rebuild_a(c, &hb));
-          } else {
-            ng.AddChild(CopyTree(in, c, &out));
-          }
-        }
-        ng.AddChild(hb);  // new last slot for B
-      }
-      return ng.Finish();
-    }
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
+    UnionBuilder ng = out.StartUnion(g);
+    ng.CopyValues(un);
     for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        nu.AddChild(self(self, un.Child(e, j, k)));
+      uint32_t hb = kNoUnion;
+      for (size_t j = 0; j < kg; ++j) {
+        uint32_t c = un.Child(e, j, kg);
+        ng.AddChild(j == slot_a ? rebuild_a(c, &hb) : CopyTree(in, c, &out));
       }
+      ng.AddChild(hb);  // new last slot for B
     }
-    return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
+    return ng.Finish();
+  });
   FDB_VALIDATE_REP(out);
   return out;
 }
 
 FRep Normalize(const FRep& in) {
   FRep cur = in;
-  for (;;) {
-    const FTree& t = cur.tree();
-    int pick = -1;
-    for (size_t i = 0; i < t.pool_size(); ++i) {
-      int n = static_cast<int>(i);
-      if (t.node(n).alive && t.CanPushUp(n)) {
-        pick = n;
-        break;
-      }
-    }
-    if (pick == -1) {
-      FDB_VALIDATE_REP(cur);
-      return cur;
-    }
-    cur = PushUp(cur, t.node(pick).attrs.Min());
+  for (int n; (n = cur.tree().NextPushUp()) != -1;) {
+    cur = PushUp(cur, cur.tree().node(n).attrs.Min());
   }
+  FDB_VALIDATE_REP(cur);
+  return cur;
 }
 
 FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
@@ -174,7 +140,6 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
 
   FRep out(std::move(new_tree));
   if (in.empty()) return out;
-  out.MarkNonEmpty();
 
   // Fig. 4: regroups one occurrence of A's union by B-values using a
   // min-priority queue of (b value, A-entry index, position).
@@ -222,25 +187,7 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
     return nb.Finish();
   };
 
-  std::vector<char> on_path = SubtreeContains(t, a);
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
-    UnionRef un = in.u(id);
-    if (un.node() == a) return swap_union(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopyTree(in, id, &out);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    UnionBuilder nu = out.StartUnion(un.node());
-    nu.CopyValues(un);
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        nu.AddChild(self(self, un.Child(e, j, k)));
-      }
-    }
-    return nu.Finish();
-  };
-
-  for (uint32_t r : in.roots()) out.roots().push_back(rec(rec, r));
+  RebuildForest(in, a, &out, swap_union);
   FDB_VALIDATE_REP(out);
   return out;
 }

@@ -8,9 +8,9 @@
 
 namespace fdb {
 
-using ops_internal::CopySubtree;
+using ops_internal::CopyTree;
 using ops_internal::kNoUnion;
-using ops_internal::SubtreeContains;
+using ops_internal::RebuildForest;
 
 // sigma_{A theta c} (§3.3): one pass over the representation. Unions of A's
 // node drop the entries failing the comparison; an emptied union removes the
@@ -26,51 +26,23 @@ FRep SelectConst(const FRep& in, AttrId attr, CmpOp op, Value c) {
   if (op == CmpOp::kEq) new_tree.node(x).constant = true;
 
   FRep out(new_tree);
-  if (in.empty()) {
-    if (op == CmpOp::kEq) return Normalize(out);
-    return out;
-  }
-
-  std::vector<char> on_path = SubtreeContains(t, x);
-  std::vector<uint32_t> memo(in.NumUnions(), kNoUnion);
-
-  // Predicate mask scratch, reused across X-unions. Safe to share: only
-  // unions of X's node use it, and X's descendants are off-path (their
-  // subtrees cannot contain X again), so the recursion never reaches a
-  // second X-union while one is being filtered.
+  // Batched predicate evaluation over the contiguous value window (one
+  // vectorised pass) instead of per-entry EvalCmp dispatch. The mask
+  // scratch is reused across X-unions: X's subtree is copied, so no
+  // second X-union is reached while one is being filtered.
+  const size_t k = t.node(x).children.size();
   std::vector<uint8_t> mask;
-
-  // Returns the rebuilt union or kNoUnion if it became empty.
-  auto rec = [&](auto&& self, uint32_t id) -> uint32_t {
+  auto filter = [&](uint32_t id) -> uint32_t {
     UnionRef un = in.u(id);
-    if (!on_path[static_cast<size_t>(un.node())]) {
-      return CopySubtree(in, id, &out, &memo);
-    }
-    const size_t k = t.node(un.node()).children.size();
-    const bool is_x = un.node() == x;
-    if (is_x) {
-      // Batched predicate evaluation over the contiguous value window
-      // (one vectorised pass) instead of per-entry EvalCmp dispatch.
-      mask.resize(un.size());
-      simd::CmpMask(un.values(), un.size(), op, c, mask.data());
-    }
-    UnionBuilder nu = out.StartUnion(un.node());
-    std::vector<uint32_t> kept_children;
+    mask.resize(un.size());
+    simd::CmpMask(un.values(), un.size(), op, c, mask.data());
+    UnionBuilder nu = out.StartUnion(x);
     for (size_t e = 0; e < un.size(); ++e) {
-      if (is_x && mask[e] == 0) continue;
-      kept_children.clear();
-      bool dead = false;
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t nc = self(self, un.Child(e, j, k));
-        if (nc == kNoUnion) {
-          dead = true;
-          break;
-        }
-        kept_children.push_back(nc);
-      }
-      if (dead) continue;
+      if (mask[e] == 0) continue;
       nu.AddValue(un.value(e));
-      for (uint32_t nc : kept_children) nu.AddChild(nc);
+      for (size_t j = 0; j < k; ++j) {
+        nu.AddChild(CopyTree(in, un.Child(e, j, k), &out));
+      }
     }
     if (nu.empty()) {
       nu.Abandon();
@@ -78,16 +50,7 @@ FRep SelectConst(const FRep& in, AttrId attr, CmpOp op, Value c) {
     }
     return nu.Finish();
   };
-
-  out.MarkNonEmpty();
-  for (uint32_t r : in.roots()) {
-    uint32_t nr = rec(rec, r);
-    if (nr == kNoUnion) {
-      out.MarkEmpty();
-      break;
-    }
-    out.roots().push_back(nr);
-  }
+  if (!in.empty()) RebuildForest(in, x, &out, filter);
   if (op == CmpOp::kEq) return Normalize(out);
   FDB_VALIDATE_REP(out);
   return out;

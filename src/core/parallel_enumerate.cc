@@ -183,7 +183,7 @@ ParallelEnumerator::ParallelEnumerator(const FRep& rep, EnumerateOptions opts,
       return opts.target_morsel_tuples > 0
                  ? opts.target_morsel_tuples
                  : std::max(1.0, est / (static_cast<double>(threads_) *
-                                        std::max(1, opts.morsels_per_thread)));
+                                        kMorselsPerThread));
     });
   }
   if (plan_.morsels.empty()) {

@@ -41,6 +41,10 @@ namespace fdb {
 
 class EnumKernel;  // core/kernel.h
 
+/// Morsels per thread the planner aims for; more morsels = better load
+/// balance, more per-chunk overhead.
+inline constexpr int kMorselsPerThread = 8;
+
 /// Knobs of one (possibly parallel) enumeration.
 struct EnumerateOptions {
   /// Maximum threads enumerating concurrently (including the caller).
@@ -52,12 +56,8 @@ struct EnumerateOptions {
   /// for small results.
   double parallel_cutoff = 32768;
 
-  /// Morsels per thread the planner aims for; more morsels = better load
-  /// balance, more per-chunk overhead.
-  int morsels_per_thread = 8;
-
   /// Override of the target tuples per morsel (0 = derived from the total
-  /// estimate, threads and morsels_per_thread). Mainly for tests.
+  /// estimate, threads and kMorselsPerThread). Mainly for tests.
   double target_morsel_tuples = 0;
 };
 

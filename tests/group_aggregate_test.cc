@@ -204,9 +204,10 @@ TEST(GroupByAggregate, UnknownAttributesThrow) {
 }
 
 TEST(GroupByAggregate, SharedSubtreesCollapseOnce) {
-  // Hand-built rep where both A-entries share one B-union (the shape
-  // push-up hoisting produces); the collapse must memoise it and the
-  // grouped rep must still match the enumeration baseline.
+  // Hand-built rep where both A-entries share one B-union (a DAG, as a
+  // deserialised rep may be; operators copy, so their output never
+  // shares); the collapse must memoise it and the grouped rep must still
+  // match the enumeration baseline.
   FTree t = PathFTree({0, 1}, 0);
   const int a_node = t.FindAttr(0), b_node = t.FindAttr(1);
   FRep rep{t};

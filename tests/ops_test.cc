@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/enumerate.h"
 #include "core/fplan.h"
 #include "core/ground.h"
 #include "core/ops.h"
 #include "core/print.h"
+#include "core/serialize.h"
 #include "test_util.h"
 
 namespace fdb {
@@ -456,6 +463,133 @@ TEST(Project, PartialClassProjection) {
   EXPECT_EQ(proj.NumSingletons(), 2u);  // one per value, single attribute
   Relation expect = MakeRel({0}, {{1}, {2}});
   EXPECT_TRUE(SameRelation(proj, expect));
+}
+
+// ---------- Shared-subtree (DAG) input ----------
+
+// A rep over A(B(D, F), C, E) in which, with `share`, equal subtrees are
+// one union referenced from several entries: the B-union of A = 1 and
+// A = 2, their C-union, the D- and F-unions under every B-entry and the
+// E-union under every A-entry. Without `share` each reference gets its own
+// copy, which represents the same relation tree-shaped. E (under A) and F
+// (under B) are independent of their parents, so both can be pushed up.
+FRep SharedSubtreeRep(bool share) {
+  FTree t;
+  auto node = [&](AttrId a, RelSet rels) {
+    return t.NewNode(AttrSet::Of({a}), AttrSet::Of({a}), rels, rels);
+  };
+  const int na = node(0, RelSet::Of({0, 1})), nb = node(1, RelSet::Of({0}));
+  const int nc = node(2, RelSet::Of({1})), nd = node(3, RelSet::Of({0}));
+  const int ne = node(4, RelSet::Of({2})), nf = node(5, RelSet::Of({3}));
+  t.AttachRoot(na);
+  t.AttachChild(na, nb);
+  t.AttachChild(na, nc);
+  t.AttachChild(na, ne);
+  t.AttachChild(nb, nd);
+  t.AttachChild(nb, nf);
+
+  FRep rep{t};
+  auto leaf = [&](int n, std::vector<Value> vals) {
+    UnionBuilder u = rep.StartUnion(n);
+    for (Value v : vals) u.AddValue(v);
+    return u.Finish();
+  };
+  // `make()` once per reference, or once in all when sharing.
+  auto maybe_shared = [share](std::function<uint32_t()> make) {
+    uint32_t id = 0;
+    bool built = false;
+    return [=]() mutable {
+      if (!share || !built) id = make();
+      built = true;
+      return id;
+    };
+  };
+  auto d = maybe_shared([&] { return leaf(nd, {1, 2, 3}); });
+  auto f = maybe_shared([&] { return leaf(nf, {7, 8}); });
+  auto e = maybe_shared([&] { return leaf(ne, {5, 6}); });
+  auto c13 = maybe_shared([&] { return leaf(nc, {1, 3}); });
+  auto b_union = [&](std::vector<Value> vals) {
+    std::vector<uint32_t> kids;
+    for (size_t i = 0; i < vals.size(); ++i) {
+      kids.push_back(d());
+      kids.push_back(f());
+    }
+    UnionBuilder u = rep.StartUnion(nb);
+    for (size_t i = 0; i < vals.size(); ++i) {
+      u.AddValue(vals[i]);
+      u.AddChild(kids[2 * i]);
+      u.AddChild(kids[2 * i + 1]);
+    }
+    return u.Finish();
+  };
+  auto b12 = maybe_shared([&] { return b_union({1, 2}); });
+
+  const uint32_t entries[3][3] = {{b12(), c13(), e()},
+                                  {b12(), c13(), e()},
+                                  {b_union({2, 3}), leaf(nc, {2}), e()}};
+  UnionBuilder a = rep.StartUnion(na);
+  for (Value v = 1; v <= 3; ++v) {
+    a.AddValue(v);
+    for (uint32_t kid : entries[v - 1]) a.AddChild(kid);
+  }
+  rep.roots().push_back(a.Finish());
+  rep.MarkNonEmpty();
+  return rep;
+}
+
+std::string Bytes(const FRep& rep) {
+  std::ostringstream os;
+  WriteFRep(os, rep);
+  return os.str();
+}
+
+TEST(SharedSubtrees, OperatorsMatchTreeShapedCopy) {
+  using testing_util::ReferenceTuples;
+  const FRep dag = SharedSubtreeRep(true);
+  const FRep tree = SharedSubtreeRep(false);
+  dag.Validate();
+  tree.Validate();
+  ASSERT_LT(dag.NumValues(), tree.NumValues());  // the DAG really shares
+  ASSERT_EQ(ReferenceTuples(dag, true), ReferenceTuples(tree, true));
+  const FRep other = GroundRelation(MakeRel({6}, {{1}, {2}}), 4);
+
+  const std::vector<std::pair<std::string, std::function<FRep(const FRep&)>>>
+      cases = {
+          {"swap A,B", [](const FRep& r) { return Swap(r, 0, 1); }},
+          {"swap B,D", [](const FRep& r) { return Swap(r, 1, 3); }},
+          {"push-up E (root)", [](const FRep& r) { return PushUp(r, 4); }},
+          {"push-up F (under A)", [](const FRep& r) { return PushUp(r, 5); }},
+          {"merge B=C", [](const FRep& r) { return Merge(r, 1, 2); }},
+          {"merge B=E (empty)", [](const FRep& r) { return Merge(r, 1, 4); }},
+          {"absorb A=B", [](const FRep& r) { return Absorb(r, 0, 1); }},
+          {"absorb A=D", [](const FRep& r) { return Absorb(r, 0, 3); }},
+          {"select D<3",
+           [](const FRep& r) { return SelectConst(r, 3, CmpOp::kLt, 3); }},
+          {"select C=2 (cascade)",
+           [](const FRep& r) { return SelectConst(r, 2, CmpOp::kEq, 2); }},
+          {"select F>8 (empty)",
+           [](const FRep& r) { return SelectConst(r, 5, CmpOp::kGt, 8); }},
+          {"project A,C",
+           [](const FRep& r) { return Project(r, AttrSet::Of({0, 2})); }},
+          {"project B,F",
+           [](const FRep& r) { return Project(r, AttrSet::Of({1, 5})); }},
+          {"product rep x other",
+           [&](const FRep& r) { return Product(r, other); }},
+          {"product other x rep",
+           [&](const FRep& r) { return Product(other, r); }},
+      };
+  for (const auto& [name, op] : cases) {
+    SCOPED_TRACE(name);
+    const FRep from_dag = op(dag);
+    const FRep from_tree = op(tree);
+    from_dag.Validate();
+    from_tree.Validate();
+    EXPECT_EQ(from_tree.empty(), name.find("(empty)") != std::string::npos);
+    EXPECT_EQ(ReferenceTuples(from_dag, true), ReferenceTuples(from_tree, true));
+    // Operators copy every carried-over subtree, so their output is
+    // tree-shaped whatever the input's sharing: the same bytes either way.
+    EXPECT_EQ(Bytes(from_dag), Bytes(from_tree));
+  }
 }
 
 // ---------- Plans ----------

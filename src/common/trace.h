@@ -11,7 +11,8 @@
 //     plan-cache-lookup    PlanCache::Lookup
 //     parse                ParseSql
 //     f-tree-search        FindOptimalFTree (absent on a plan-cache hit)
-//     ground               GroundQuery (bytes = FRep::MemoryBytes)
+//     ground               GroundQuery (rows = relations sorted, 0 when
+//                          every order was cached; bytes = FRep::MemoryBytes)
 //     project              deferred projection, when the query projects
 //     restructure-aggregate  GroupByAggregate (aggregate queries;
 //                          bytes = grouped rep), split into

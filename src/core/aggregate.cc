@@ -546,8 +546,8 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
 
   // Rebuild the group forest's unions, collapsing every removed child
   // slot into the owning entry's payload. Memoised so shared subtrees of
-  // a DAG input (hand-built or deserialised; operator output is
-  // tree-shaped) stay shared in the grouped rep.
+  // a DAG input (the restructuring swaps share T_A copies; hand-built and
+  // deserialised reps may share too) stay shared in the grouped rep.
   FRep grep{std::move(gt)};
   grep.MarkNonEmpty();
   // Per-node slot split, aligned with the new tree's child order.

@@ -71,8 +71,9 @@ size_t FRep::MemoryBytes() const {
 
 namespace {
 
-// Shared iterative post-order DP over the union DAG (hand-built or
-// deserialised reps may share subtrees; operator output does not). `Num` is the accumulator type;
+// Shared iterative post-order DP over the union DAG (Swap output and
+// hand-built or deserialised reps share subtrees). `Num` is the accumulator
+// type;
 // `mul`/`add` fold two values and return false on saturation, which aborts
 // the whole pass.
 template <typename Num, typename Mul, typename Add>

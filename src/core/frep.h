@@ -243,7 +243,8 @@ class FRep {
   size_t OpenBuilders() const { return scratch_top_; }
 
   /// Number of singletons (the paper's |E|): every value of a union counts
-  /// once per *visible* attribute of its class.
+  /// once per *visible* attribute of its class. Counts the stored rep: a
+  /// union referenced from several entries (a shared subtree) counts once.
   size_t NumSingletons() const;
 
   /// Number of physically stored values (one per union entry).

@@ -1,8 +1,8 @@
 #include "core/ground.h"
 
-#include <limits>
-
 #include <algorithm>
+#include <limits>
+#include <memory>
 
 #include "common/exec_context.h"
 #include "common/fault.h"
@@ -13,15 +13,6 @@ namespace fdb {
 
 using ops_internal::kNoUnion;
 
-namespace {
-
-struct RelState {
-  Relation rel;                 // filtered + sorted working copy
-  std::vector<size_t> node_col; // f-tree node id -> column, SIZE_MAX if none
-};
-
-}  // namespace
-
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds, QueryTrace* trace) {
   QueryTrace::Scope span(trace, "ground");
@@ -30,8 +21,6 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                 "grounding requires an f-tree satisfying the path constraint");
 
   const size_t nrels = rels.size();
-  std::vector<RelState> st;
-  st.reserve(nrels);
 
   // Which tree nodes each relation covers, ancestor-first.
   std::vector<std::vector<int>> rel_nodes(nrels);
@@ -51,53 +40,72 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
 
   // Governance: grounding dominates pathological queries, so it probes the
   // ambient ExecContext (common/exec_context.h) at two granularities — per
-  // relation prepared (each filter+sort is one uninterruptible block) and
+  // relation prepared (each sort+filter is one uninterruptible block) and
   // per leapfrog iteration inside build (a relaxed atomic load; the clock
   // is strided inside CheckCancelled).
   ExecContext* const ctx = ExecContext::Current();
 
+  // Per relation: the rows grounding reads, sorted by its classes in
+  // ancestor-first order, and the column of each f-tree node it covers
+  // (SIZE_MAX if none). The sorted rows come from the relation's cache
+  // (Relation::SortedBy); a relation with predicates on it is filtered,
+  // order-preserving, into a private copy, any other is read in place.
+  std::vector<std::shared_ptr<const Relation>> rows(nrels);
+  std::vector<std::vector<size_t>> node_col(nrels);
+  uint64_t relations_sorted = 0;
   for (size_t r = 0; r < nrels; ++r) {
+    if (rel_nodes[r].empty()) continue;  // covers no node: never read
     if (ctx != nullptr) ctx->CheckCancelled();
     FDB_FAULT_POINT("ground_prepare_relation");
-    RelState s{*rels[r], std::vector<size_t>(tree.pool_size(), SIZE_MAX)};
-    // Constant predicates on this relation's attributes.
-    for (const ConstPred& p : preds) {
-      if (!s.rel.HasAttr(p.attr)) continue;
-      size_t col = s.rel.ColumnOf(p.attr);
-      s.rel.Filter([&](size_t row) {
-        return EvalCmp(s.rel.At(row, col), p.op, p.value);
-      });
-    }
+    const Relation& rel = *rels[r];
+    node_col[r].assign(tree.pool_size(), SIZE_MAX);
     // Intra-relation equalities: several attributes of this relation in one
     // class must agree; the first becomes the representative column.
     std::vector<size_t> sort_cols;
+    std::vector<std::vector<size_t>> equal_cols;
     for (int n : rel_nodes[r]) {
-      const FTreeNode& nd = tree.node(n);
       std::vector<size_t> cols;
-      for (AttrId a : nd.attrs) {
-        if (s.rel.HasAttr(a)) cols.push_back(s.rel.ColumnOf(a));
+      for (AttrId a : tree.node(n).attrs) {
+        if (rel.HasAttr(a)) cols.push_back(rel.ColumnOf(a));
       }
       FDB_CHECK(!cols.empty());
-      if (cols.size() > 1) {
-        s.rel.Filter([&](size_t row) {
-          for (size_t i = 1; i < cols.size(); ++i) {
-            if (s.rel.At(row, cols[i]) != s.rel.At(row, cols[0])) return false;
-          }
-          return true;
-        });
-      }
-      s.node_col[static_cast<size_t>(n)] = cols[0];
+      node_col[r][static_cast<size_t>(n)] = cols[0];
       sort_cols.push_back(cols[0]);
+      if (cols.size() > 1) equal_cols.push_back(std::move(cols));
     }
-    s.rel.SortByColumns(sort_cols);
-    st.push_back(std::move(s));
+    bool did_sort = false;
+    rows[r] = rel.SortedBy(sort_cols, &did_sort);
+    relations_sorted += did_sort ? 1 : 0;
+
+    // Constant predicates on this relation's attributes.
+    std::vector<std::pair<size_t, const ConstPred*>> col_preds;
+    for (const ConstPred& p : preds) {
+      if (rel.HasAttr(p.attr)) col_preds.push_back({rel.ColumnOf(p.attr), &p});
+    }
+    if (col_preds.empty() && equal_cols.empty()) continue;
+    auto f = std::make_shared<Relation>(*rows[r]);
+    f->Filter([&](size_t row) {
+      for (const auto& [col, p] : col_preds) {
+        if (!EvalCmp(f->At(row, col), p->op, p->value)) return false;
+      }
+      for (const std::vector<size_t>& cols : equal_cols) {
+        for (size_t i = 1; i < cols.size(); ++i) {
+          if (f->At(row, cols[i]) != f->At(row, cols[0])) return false;
+        }
+      }
+      return true;
+    });
+    rows[r] = std::move(f);
   }
+  span.SetRows(relations_sorted);
 
   FRep out{FTree(tree)};
 
   // Current row range per relation, narrowed as we bind values down a path.
   std::vector<std::pair<size_t, size_t>> range(nrels);
-  for (size_t r = 0; r < nrels; ++r) range[r] = {0, st[r].rel.size()};
+  for (size_t r = 0; r < nrels; ++r) {
+    range[r] = {0, rows[r] != nullptr ? rows[r]->size() : 0};
+  }
 
   // Builds the union for tree node n under the current ranges; kNoUnion if
   // no value survives.
@@ -124,21 +132,22 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
           exhausted = true;
           break;
         }
-        v = std::max(v, st[r].rel.At(cursor[i], st[r].node_col[static_cast<size_t>(n)]));
+        v = std::max(
+            v, rows[r]->At(cursor[i], node_col[r][static_cast<size_t>(n)]));
       }
       if (exhausted) break;
       // Advance every head to >= v; if any overshoots, retry with larger v.
       bool agree = true;
       for (size_t i = 0; i < here.size(); ++i) {
         size_t r = here[i];
-        size_t col = st[r].node_col[static_cast<size_t>(n)];
-        cursor[i] = st[r].rel.LowerBound(cursor[i], range[r].second, col, v);
+        const size_t col = node_col[r][static_cast<size_t>(n)];
+        cursor[i] = rows[r]->LowerBound(cursor[i], range[r].second, col, v);
         if (cursor[i] >= range[r].second) {
           agree = false;
           exhausted = true;
           break;
         }
-        if (st[r].rel.At(cursor[i], col) != v) agree = false;
+        if (rows[r]->At(cursor[i], col) != v) agree = false;
       }
       if (exhausted) break;
       if (!agree) continue;
@@ -147,9 +156,10 @@ FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
       std::vector<std::pair<size_t, size_t>> saved(here.size());
       for (size_t i = 0; i < here.size(); ++i) {
         size_t r = here[i];
-        size_t col = st[r].node_col[static_cast<size_t>(n)];
+        const size_t col = node_col[r][static_cast<size_t>(n)];
         saved[i] = range[r];
-        size_t end = st[r].rel.LowerBound(cursor[i], range[r].second, col, v + 1);
+        const size_t end =
+            rows[r]->LowerBound(cursor[i], range[r].second, col, v + 1);
         range[r] = {cursor[i], end};
       }
       std::vector<uint32_t> kids;

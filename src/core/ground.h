@@ -26,12 +26,15 @@ namespace fdb {
 /// over the given relations.
 ///
 /// `rels[i]` is the relation with query-local index i (matching the
-/// `cover_rels` bits of the tree). `preds` are constant predicates applied
-/// while loading. Relations are copied, filtered and sorted internally;
-/// pass `presorted = true` when every relation is already sorted by its
-/// class path order (saves the copy, used by benchmarks that reuse inputs).
-/// A non-null `trace` records a "ground" span carrying the result's
-/// MemoryBytes (common/trace.h).
+/// `cover_rels` bits of the tree). Each relation is read sorted by its
+/// classes in ancestor-first order from its sort cache
+/// (Relation::SortedBy), which sorts once per column order and drops its
+/// copies when the relation is mutated. `preds` (constant predicates) and
+/// intra-relation equalities are applied after sorting, by an
+/// order-preserving filter into a private copy; a relation with nothing to
+/// filter is read in place. A non-null `trace` records a "ground" span
+/// carrying the number of relations it had to sort (rows; 0 when every
+/// order came from the cache) and the result's MemoryBytes (bytes).
 FRep GroundQuery(const FTree& tree, const std::vector<const Relation*>& rels,
                  const std::vector<ConstPred>& preds = {},
                  QueryTrace* trace = nullptr);

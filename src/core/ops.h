@@ -17,9 +17,13 @@
 // that node are rebuilt entry by entry, every other subtree is copied
 // verbatim, an entry whose rebuilt child came back empty is dropped (the
 // emptiness cascade), and the result is empty when a root union empties.
-// Copies are unmemoised (CopyTree, which Product uses too), so operator
-// output is tree-shaped (every union has exactly one parent reference)
-// even when the input shares subtrees.
+// Copies are unmemoised (CopyTree, which Product uses too), so the output
+// of every operator but Swap is tree-shaped (every union has exactly one
+// parent reference) even when the input shares subtrees. Swap copies each
+// A-entry's independent subtrees (T_A) once and references the copy from
+// every B-value the entry pairs with, so its output is a d-representation
+// (a DAG); every consumer (Validate, the counting DPs, the collapse, the
+// kernel, Serialize) takes shared unions as legal.
 #ifndef FDB_CORE_OPS_H_
 #define FDB_CORE_OPS_H_
 

@@ -9,9 +9,12 @@
 namespace fdb {
 
 // Both operators run the shared walk of ops_common.h (RebuildForest) and
-// keep only their step at one node. CopyTree is unmemoised, so the output
-// is tree-shaped: Swap deliberately duplicates the E_a subtrees per paired
-// B-value — that is the size growth the paper's bounds account for.
+// keep only their step at one node. PushUp's output is tree-shaped
+// (CopyTree is unmemoised). Swap shares instead of duplicating: each
+// A-entry's independent T_A subtrees are copied once and referenced from
+// every B-value the entry pairs with, so its output is a d-representation
+// (a DAG) whose physical size stays linear in the input, while the tree it
+// expands to grows as the paper's size bounds account for.
 using ops_internal::CopyTree;
 using ops_internal::kNoUnion;
 using ops_internal::RebuildForest;
@@ -151,6 +154,13 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
     for (size_t e = 0; e < un.size(); ++e) {
       pq.push({in.u(un.Child(e, slot_b, ka)).value(0), e, 0});
     }
+    // T_A copies, one per (A-entry, T_A slot), made on first use and
+    // referenced by every new A-entry of that entry, whatever B-value it
+    // pairs with: neither A's value nor T_A depends on B, so the copies
+    // are equal. The key is positional, so a shared input subtree is still
+    // copied once per position and the output does not depend on how the
+    // input is shared.
+    std::vector<uint32_t> ta_copy(un.size() * ta_slots.size(), kNoUnion);
     UnionBuilder nb = out.StartUnion(b);
     while (!pq.empty()) {
       const Value bmin = std::get<0>(pq.top());
@@ -169,8 +179,12 @@ FRep Swap(const FRep& in, AttrId a_attr, AttrId b_attr) {
         }
         // New A entry: value a_e with children T_A then T_AB.
         va.AddValue(un.value(e));
-        for (size_t j : ta_slots) {
-          va.AddChild(CopyTree(in, un.Child(e, j, ka), &out));
+        for (size_t i = 0; i < ta_slots.size(); ++i) {
+          uint32_t& c = ta_copy[e * ta_slots.size() + i];
+          if (c == kNoUnion) {
+            c = CopyTree(in, un.Child(e, ta_slots[i], ka), &out);
+          }
+          va.AddChild(c);
         }
         for (size_t j : tab_slots) {
           va.AddChild(CopyTree(in, ub.Child(pos, j, kb), &out));

@@ -30,6 +30,21 @@ void SortRowsFixed(std::vector<Value>& data, const std::vector<size_t>& order) {
   }
 }
 
+// The total column order SortByColumns sorts by: the requested columns
+// first, the rest as tie-breakers.
+std::vector<size_t> TotalOrder(const std::vector<size_t>& cols, size_t k) {
+  std::vector<size_t> order = cols;
+  std::vector<bool> used(k, false);
+  for (size_t c : order) {
+    FDB_CHECK(c < k);
+    used[c] = true;
+  }
+  for (size_t c = 0; c < k; ++c) {
+    if (!used[c]) order.push_back(c);
+  }
+  return order;
+}
+
 }  // namespace
 
 Relation::Relation(std::vector<AttrId> schema) : schema_(std::move(schema)) {
@@ -53,6 +68,7 @@ bool Relation::HasAttr(AttrId attr) const {
 
 void Relation::AddTuple(std::span<const Value> tuple) {
   FDB_CHECK(tuple.size() == arity());
+  sorted_copies_.Clear();
   if (arity() == 0) {
     nullary_count_ = 1;  // the nullary relation has at most one tuple
     return;
@@ -67,6 +83,7 @@ void Relation::AppendRows(std::span<const Value> values) {
                 "AppendRows size must be a multiple of the arity");
   data_.insert(data_.end(), values.begin(), values.end());
   sort_order_.clear();
+  sorted_copies_.Clear();
 }
 
 void Relation::AdoptRows(std::vector<Value>&& values) {
@@ -79,21 +96,14 @@ void Relation::AdoptRows(std::vector<Value>&& values) {
     data_.insert(data_.end(), values.begin(), values.end());
   }
   sort_order_.clear();
+  sorted_copies_.Clear();
 }
 
 void Relation::SortByColumns(const std::vector<size_t>& cols) {
+  sorted_copies_.Clear();
   const size_t k = arity();
   if (k == 0) return;
-  // Total column order: requested columns first, the rest as tie-breakers.
-  std::vector<size_t> order = cols;
-  std::vector<bool> used(k, false);
-  for (size_t c : order) {
-    FDB_CHECK(c < k);
-    used[c] = true;
-  }
-  for (size_t c = 0; c < k; ++c) {
-    if (!used[c]) order.push_back(c);
-  }
+  const std::vector<size_t> order = TotalOrder(cols, k);
 
   // Narrow arities (every enumerated result in practice) take the
   // cache-friendly fixed-key sort; wider rows fall back to the generic
@@ -140,6 +150,23 @@ void Relation::SortLex() {
   std::vector<size_t> cols(arity());
   std::iota(cols.begin(), cols.end(), 0);
   SortByColumns(cols);
+}
+
+std::shared_ptr<const Relation> Relation::SortedBy(
+    const std::vector<size_t>& cols, bool* sorted) const {
+  std::vector<size_t> order = TotalOrder(cols, arity());
+  MutexLock lock(sorted_copies_.mu_);
+  for (const auto& [o, rows] : sorted_copies_.copies_) {
+    if (o == order) {
+      if (sorted != nullptr) *sorted = false;
+      return rows;
+    }
+  }
+  auto copy = std::make_shared<Relation>(*this);
+  copy->SortByColumns(order);
+  sorted_copies_.copies_.emplace_back(std::move(order), copy);
+  if (sorted != nullptr) *sorted = true;
+  return copy;
 }
 
 size_t Relation::LowerBound(size_t lo, size_t hi, size_t col, Value v) const {

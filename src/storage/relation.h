@@ -2,16 +2,23 @@
 //
 // A relation is a row-major array of 64-bit values plus a schema of global
 // attribute ids. The engines (FDB grounding, RDB sort-merge) work on
-// relations sorted lexicographically under a chosen column order, mirroring
-// the paper's setup ("the relations are given sorted").
+// relations sorted lexicographically under a chosen column order. The paper
+// assumes "the relations are given sorted"; here a relation sorts itself
+// once per column order instead: SortedBy returns a sorted copy, computed on
+// the first request for that order and cached in the relation until the
+// next mutation. Grounding reads those copies and applies its predicates
+// afterwards, with an order-preserving filter.
 #ifndef FDB_STORAGE_RELATION_H_
 #define FDB_STORAGE_RELATION_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/attrset.h"
+#include "common/mutex.h"
 #include "common/types.h"
 
 namespace fdb {
@@ -66,6 +73,16 @@ class Relation {
   /// Sorts by columns 0,1,...,arity-1.
   void SortLex();
 
+  /// A copy of this relation sorted as SortByColumns(cols) would sort it.
+  /// The copy is made on the first request for that column order and
+  /// cached; later requests share it until a mutator (AddTuple, AppendRows,
+  /// AdoptRows, Filter, SortByColumns, assignment) drops the cache. Sets
+  /// `*sorted` to whether this call had to sort. Safe to call from several
+  /// threads at once; not concurrently with a mutator. The cache is not
+  /// copied or moved with the relation.
+  std::shared_ptr<const Relation> SortedBy(const std::vector<size_t>& cols,
+                                           bool* sorted = nullptr) const;
+
   /// The column order of the last SortByColumns call (empty if unsorted).
   const std::vector<size_t>& sort_order() const { return sort_order_; }
 
@@ -81,9 +98,10 @@ class Relation {
   /// Number of distinct values in a column (scans; used by the estimator).
   size_t DistinctCount(size_t col) const;
 
-  /// Keeps only rows satisfying pred(row_index).
+  /// Keeps only rows satisfying pred(row_index), in their order.
   template <typename Pred>
   void Filter(Pred pred) {
+    sorted_copies_.Clear();
     size_t w = 0;
     const size_t n = size(), k = arity();
     for (size_t r = 0; r < n; ++r) {
@@ -100,16 +118,42 @@ class Relation {
   /// Raw data access for tight loops.
   const std::vector<Value>& data() const { return data_; }
 
+  /// Compares schema and rows; the sort cache is ignored.
   bool operator==(const Relation& o) const {
     return schema_ == o.schema_ && data_ == o.data_ &&
            nullary_count_ == o.nullary_count_;
   }
 
  private:
+  // The SortedBy cache: one sorted copy per total column order. A copy or
+  // move of the cache is empty, so the implicit copy and move operations of
+  // Relation never carry it, and assigning to a relation drops its own.
+  class SortCache {
+   public:
+    SortCache() = default;
+    SortCache(const SortCache&) noexcept {}
+    SortCache& operator=(const SortCache&) noexcept {
+      Clear();
+      return *this;
+    }
+
+    void Clear() {
+      MutexLock lock(mu_);
+      copies_.clear();
+    }
+
+   private:
+    friend class Relation;
+    Mutex mu_;
+    std::vector<std::pair<std::vector<size_t>, std::shared_ptr<const Relation>>>
+        copies_ GUARDED_BY(mu_);
+  };
+
   std::vector<AttrId> schema_;
   std::vector<Value> data_;
   std::vector<size_t> sort_order_;
   size_t nullary_count_ = 0;  // tuple count for arity-0 relations (0 or 1)
+  mutable SortCache sorted_copies_;
 };
 
 }  // namespace fdb

@@ -1,7 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "api/engine.h"
+#include "common/trace.h"
 #include "core/enumerate.h"
 #include "core/ground.h"
+#include "core/serialize.h"
 #include "rdb/rdb.h"
 #include "test_util.h"
 
@@ -145,6 +157,156 @@ TEST(Ground, GroceryQ1OverT1MatchesPaper) {
   // over T1 the result is strictly smaller than the 14 x 6 data elements.
   EXPECT_EQ(rep.CountTuples(), static_cast<double>(flat.NumTuples()));
   EXPECT_LT(rep.NumSingletons(), flat.NumTuples() * 6);
+}
+
+// ---------- Sort-once grounding (Relation::SortedBy) ----------
+
+// The number of relations GroundQuery had to sort (its span's rows).
+uint64_t RelationsSorted(const QueryTrace& trace) {
+  for (const QueryTrace::Span& s : trace.spans()) {
+    if (s.name == "ground") return s.rows;
+  }
+  ADD_FAILURE() << "no ground span";
+  return 0;
+}
+
+// Grounds `q` through the engine and checks it against the flat baseline;
+// returns the number of relations the grounding sorted.
+uint64_t GroundAndCheck(Engine& engine, const Query& q) {
+  QueryTrace trace;
+  const FdbResult res = engine.EvaluateFlat(q, nullptr, &trace);
+  res.rep.Validate();
+  EXPECT_TRUE(SameRelation(res.rep, engine.ExecuteRdb(q).relation));
+  return RelationsSorted(trace);
+}
+
+TEST(SortCache, EveryMutatorInvalidatesGrounding) {
+  Database db;
+  const RelId r = db.CreateRelation("R", {"a", "b"});
+  const RelId s = db.CreateRelation("S", {"c", "d"});
+  for (int64_t i = 1; i <= 12; ++i) {
+    db.Insert(r, {i, i % 3});
+    db.Insert(s, {i % 4, 100 + i});
+  }
+  Engine engine(&db);
+  const Query join = engine.Parse("SELECT * FROM R, S WHERE b = c");
+  const Query selective =
+      engine.Parse("SELECT * FROM R, S WHERE b = c AND a >= 4 AND d <= 110");
+  EXPECT_EQ(GroundAndCheck(engine, join), 2u);
+  EXPECT_EQ(GroundAndCheck(engine, join), 0u);  // both orders cached
+  // Predicates filter the cached rows; they need no sort of their own.
+  EXPECT_EQ(GroundAndCheck(engine, selective), 0u);
+
+  // Each mutation goes through Database::relation(), which bypasses
+  // Database::version(): the relation's own cache must notice.
+  const std::vector<std::pair<std::string, std::function<void(Relation&)>>>
+      mutators = {
+          {"AddTuple", [](Relation& rel) { rel.AddTuple({0, 1}); }},
+          {"AppendRows",
+           [](Relation& rel) {
+             const std::vector<Value> rows = {20, 2, 21, 0};
+             rel.AppendRows(rows);
+           }},
+          {"AdoptRows", [](Relation& rel) { rel.AdoptRows({22, 1, 23, 2}); }},
+          {"Filter",
+           [](Relation& rel) {
+             rel.Filter([&](size_t row) { return rel.At(row, 0) % 2 == 0; });
+           }},
+          {"SortByColumns", [](Relation& rel) { rel.SortByColumns({1}); }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    mutate(db.relation(r));
+    EXPECT_EQ(GroundAndCheck(engine, join), 1u);
+    EXPECT_EQ(GroundAndCheck(engine, selective), 0u);
+    EXPECT_EQ(GroundAndCheck(engine, join), 0u);
+  }
+}
+
+TEST(SortCache, CopiesAndMovesStartEmpty) {
+  Relation r = MakeRel({0, 1}, {{3, 1}, {1, 2}, {2, 1}, {1, 2}});
+  bool sorted = false;
+  const std::shared_ptr<const Relation> by_b = r.SortedBy({1}, &sorted);
+  EXPECT_TRUE(sorted);
+  EXPECT_EQ(by_b->size(), 3u);  // sorted and deduplicated
+  EXPECT_EQ(r.size(), 4u);      // the relation itself is untouched
+  EXPECT_EQ(r.SortedBy({1}, &sorted), by_b);
+  EXPECT_FALSE(sorted);
+  // {1} and {1, 0} are one total column order.
+  EXPECT_EQ(r.SortedBy({1, 0}, &sorted), by_b);
+  EXPECT_FALSE(sorted);
+
+  Relation copy = r;
+  EXPECT_TRUE(copy == r);  // equality ignores the cache
+  EXPECT_NE(copy.SortedBy({1}, &sorted), by_b);
+  EXPECT_TRUE(sorted);
+  EXPECT_EQ(r.SortedBy({1}, &sorted), by_b);  // the original keeps its own
+  EXPECT_FALSE(sorted);
+
+  Relation moved = std::move(copy);
+  EXPECT_NE(moved.SortedBy({1}, &sorted), by_b);
+  EXPECT_TRUE(sorted);
+
+  Relation assigned({0, 1});
+  assigned.AddTuple({9, 9});
+  const std::shared_ptr<const Relation> stale = assigned.SortedBy({0});
+  assigned = r;  // assignment drops the target's cache
+  const std::shared_ptr<const Relation> fresh = assigned.SortedBy({0}, &sorted);
+  EXPECT_TRUE(sorted);
+  EXPECT_EQ(fresh->size(), 3u);
+  // A copy handed out earlier outlives the cache entry it came from.
+  EXPECT_EQ(stale->size(), 1u);
+  EXPECT_EQ(stale->At(0, 0), 9);
+}
+
+TEST(SortCache, ConcurrentGroundingSortsEachRelationOnce) {
+  // Four threads ground one join over the same two fresh relations at
+  // once: every thread gets the same rep, and the cache sorts each
+  // relation exactly once between them.
+  Relation r({0, 1}), s({2, 3});
+  for (Value i = 200; i >= 1; --i) {
+    r.AddTuple({i, i % 7});
+    s.AddTuple({i % 5, 1000 - i});
+  }
+  FTree t;
+  const AttrSet cls = AttrSet::Of({1, 2});
+  const int nj = t.NewNode(cls, cls, RelSet::Of({0, 1}), RelSet::Of({0, 1}));
+  const int na = t.NewNode(AttrSet::Of({0}), AttrSet::Of({0}),
+                           RelSet::Of({0}), RelSet::Of({0}));
+  const int nd = t.NewNode(AttrSet::Of({3}), AttrSet::Of({3}),
+                           RelSet::Of({1}), RelSet::Of({1}));
+  t.AttachRoot(nj);
+  t.AttachChild(nj, na);
+  t.AttachChild(nj, nd);
+
+  constexpr int kThreads = 4;
+  std::vector<std::string> bytes(kThreads);
+  std::vector<uint64_t> sorts(kThreads, 0);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      QueryTrace trace;
+      const FRep rep = GroundQuery(t, {&r, &s}, {}, &trace);
+      std::ostringstream os;
+      WriteFRep(os, rep);
+      bytes[static_cast<size_t>(i)] = os.str();
+      sorts[static_cast<size_t>(i)] = RelationsSorted(trace);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::ostringstream expect;
+  WriteFRep(expect, GroundQuery(t, {&r, &s}));
+  uint64_t total_sorts = 0;
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(bytes[static_cast<size_t>(i)], expect.str()) << "thread " << i;
+    total_sorts += sorts[static_cast<size_t>(i)];
+  }
+  EXPECT_EQ(total_sorts, 2u);
 }
 
 }  // namespace

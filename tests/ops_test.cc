@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -590,6 +593,82 @@ TEST(SharedSubtrees, OperatorsMatchTreeShapedCopy) {
     // tree-shaped whatever the input's sharing: the same bytes either way.
     EXPECT_EQ(Bytes(from_dag), Bytes(from_tree));
   }
+}
+
+// Swap(A, B) copies each A-entry's independent subtrees (T_A) once and
+// references the copy from every B-value the entry pairs with.
+TEST(Swap, SharesIndependentSubtreesAcrossPairedValues) {
+  using testing_util::ReferenceTuples;
+  using testing_util::TreeSingletons;
+  // Star S(sa, sb) |x|_{sb=tb} T(tb, tc) over {sb,tb} -> sa, {sb,tb} -> tc:
+  // 60 tuples a side over 4 join values, so each join value pairs with 15
+  // sa-values and 15 tc-values.
+  Relation s({0, 1}), t({2, 3});
+  for (Value i = 1; i <= 60; ++i) {
+    s.AddTuple({i, i % 4});
+    t.AddTuple({i % 4, 100 + i});
+  }
+  FTree tree;
+  const AttrSet cls = AttrSet::Of({1, 2});
+  const int nj =
+      tree.NewNode(cls, cls, RelSet::Of({0, 1}), RelSet::Of({0, 1}));
+  const int na = tree.NewNode(AttrSet::Of({0}), AttrSet::Of({0}),
+                              RelSet::Of({0}), RelSet::Of({0}));
+  const int nc = tree.NewNode(AttrSet::Of({3}), AttrSet::Of({3}),
+                              RelSet::Of({1}), RelSet::Of({1}));
+  tree.AttachRoot(nj);
+  tree.AttachChild(nj, na);
+  tree.AttachChild(nj, nc);
+  const FRep in = GroundQuery(tree, {&s, &t});
+  ASSERT_EQ(in.NumSingletons(), 4u * 2u + 60u + 60u);
+
+  // sa becomes the root; below each sa-value sits a one-entry union of its
+  // join value, whose tc child is that join value's T_A copy.
+  const FRep out = Swap(in, 1, 0);
+  out.Validate();
+  const FTree& ot = out.tree();
+  ASSERT_EQ(ot.roots().size(), 1u);
+  const UnionRef root = out.u(out.roots()[0]);
+  ASSERT_EQ(root.node(), ot.FindAttr(0));
+  ASSERT_EQ(ot.node(root.node()).children.size(), 1u);
+  const size_t kj = ot.node(ot.FindAttr(1)).children.size();
+  ASSERT_EQ(kj, 1u);
+  std::map<Value, std::set<uint32_t>> tc_union_of;  // join value -> T_A ids
+  std::map<Value, size_t> pairs;
+  for (size_t e = 0; e < root.size(); ++e) {
+    const UnionRef j = out.u(root.Child(e, 0, 1));
+    ASSERT_EQ(j.size(), 1u);
+    tc_union_of[j.value(0)].insert(j.Child(0, 0, kj));
+    ++pairs[j.value(0)];
+  }
+  ASSERT_EQ(tc_union_of.size(), 4u);
+  for (const auto& [v, ids] : tc_union_of) {
+    EXPECT_EQ(pairs[v], 15u) << "join value " << v;
+    EXPECT_EQ(ids.size(), 1u) << "join value " << v << " has its T_A copied";
+  }
+
+  // Stored size stays within a small multiple of the input; the tree it
+  // stands for repeats every tc-union per paired sa-value.
+  EXPECT_EQ(out.NumSingletons(), 60u + 60u * 2u + 4u * 15u);
+  EXPECT_LE(out.NumSingletons(), 2 * in.NumSingletons());
+  EXPECT_EQ(TreeSingletons(out), 60u + 60u * 2u + 60u * 15u);
+
+  auto sorted_tuples = [](const FRep& r) {
+    std::vector<std::vector<Value>> tuples = ReferenceTuples(r, false);
+    std::sort(tuples.begin(), tuples.end());
+    return tuples;
+  };
+  EXPECT_EQ(sorted_tuples(out), sorted_tuples(in));
+  EXPECT_EQ(testing_util::KernelTuples(out, false),
+            ReferenceTuples(out, false));
+
+  // The shared rep survives a serialisation round trip as it is.
+  std::istringstream is(Bytes(out));
+  const FRep back = ReadFRep(is);
+  back.Validate();
+  EXPECT_EQ(Bytes(back), Bytes(out));
+  EXPECT_EQ(back.NumSingletons(), out.NumSingletons());
+  EXPECT_EQ(ReferenceTuples(back, false), ReferenceTuples(out, false));
 }
 
 // ---------- Plans ----------

@@ -6,8 +6,10 @@
 // observed data.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "core/enumerate.h"
 #include "core/fplan.h"
@@ -166,6 +168,68 @@ INSTANTIATE_TEST_SUITE_P(
                       Params{4, 9, 3, Distribution::kUniform, 24},
                       Params{4, 10, 4, Distribution::kZipf, 25}),
     ParamName);
+
+// Random swaps on grounded reps of random queries: the represented
+// tuples never change, and the stored rep (Swap shares each A-entry's
+// independent subtrees across the B-values it pairs with) is never larger
+// than the tree it stands for — and smaller on some of the inputs.
+TEST(SwapSharing, RandomSwapsKeepTuplesAndStayWithinTheTree) {
+  using testing_util::ReferenceTuples;
+  using testing_util::TreeSingletons;
+  auto sorted_tuples = [](const FRep& r) {
+    std::vector<std::vector<Value>> tuples = ReferenceTuples(r, false);
+    std::sort(tuples.begin(), tuples.end());
+    return tuples;
+  };
+  const int shapes[][3] = {{2, 5, 1}, {2, 5, 2}, {3, 7, 2}, {3, 8, 3},
+                           {4, 9, 3}};
+  int shared = 0, swaps = 0;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const auto& [rels, attrs, eqs] : shapes) {
+      WorkloadSpec spec;
+      spec.num_rels = rels;
+      spec.num_attrs = attrs;
+      spec.tuples_per_rel = 20;
+      spec.domain = 4;
+      spec.dist = seed % 2 == 0 ? Distribution::kZipf : Distribution::kUniform;
+      spec.num_equalities = eqs;
+      spec.seed = seed * 101 + static_cast<uint64_t>(rels);
+      const GeneratedWorkload w = GenerateWorkload(spec);
+      std::vector<const Relation*> ptrs;
+      for (const Relation& r : w.relations) ptrs.push_back(&r);
+      EdgeCoverSolver solver;
+      const QueryInfo info = AnalyzeQuery(w.catalog, w.query);
+      FRep rep = GroundQuery(FindOptimalFTree(info, solver).tree, ptrs);
+      if (rep.empty()) continue;
+      const std::vector<std::vector<Value>> reference = sorted_tuples(rep);
+      Rng rng(spec.seed * 7919);
+      for (int step = 0; step < 10; ++step) {
+        const FTree& t = rep.tree();
+        std::vector<std::pair<AttrId, AttrId>> edges;
+        for (int n : t.AliveNodes()) {
+          if (t.node(n).parent != -1) {
+            edges.emplace_back(t.node(t.node(n).parent).attrs.Min(),
+                               t.node(n).attrs.Min());
+          }
+        }
+        if (edges.empty()) break;
+        const auto [pa, ch] = edges[static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(edges.size()) - 1))];
+        rep = Swap(rep, pa, ch);
+        ++swaps;
+        SCOPED_TRACE("seed " + std::to_string(spec.seed) + " step " +
+                     std::to_string(step));
+        rep.Validate();
+        ASSERT_EQ(sorted_tuples(rep), reference);
+        const uint64_t tree_size = TreeSingletons(rep);
+        ASSERT_LE(rep.NumSingletons(), tree_size);
+        shared += rep.NumSingletons() < tree_size ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(swaps, 100);
+  EXPECT_GT(shared, 0) << "no swap shared a subtree";
+}
 
 class OutputOrder : public ::testing::TestWithParam<Params> {};
 

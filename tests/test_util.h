@@ -150,6 +150,27 @@ inline std::vector<std::vector<Value>> ReferenceTuples(const FRep& rep,
   return out;
 }
 
+// Singletons of the tree `rep` stands for (the paper's |E| of its
+// tree-shaped expansion): a union referenced from several entries counts
+// once per reference, where FRep::NumSingletons counts it once.
+inline uint64_t TreeSingletons(const FRep& rep) {
+  if (rep.empty()) return 0;
+  const FTree& t = rep.tree();
+  auto walk = [&](auto&& self, uint32_t id) -> uint64_t {
+    const UnionRef u = rep.u(id);
+    const FTreeNode& nd = t.node(u.node());
+    const size_t k = nd.children.size();
+    uint64_t total = u.size() * nd.visible.Size();
+    for (size_t e = 0; e < u.size(); ++e) {
+      for (size_t j = 0; j < k; ++j) total += self(self, u.Child(e, j, k));
+    }
+    return total;
+  };
+  uint64_t total = 0;
+  for (uint32_t r : rep.roots()) total += walk(walk, r);
+  return total;
+}
+
 // The library's stream of `rep`: one whole-stream EnumKernel run, split
 // into tuples of the kernel's schema (same layout as ReferenceTuples).
 inline std::vector<std::vector<Value>> KernelTuples(const FRep& rep,

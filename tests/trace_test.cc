@@ -235,6 +235,28 @@ TEST(EngineTrace, ExecuteTracedSpjSpanStructure) {
   EXPECT_GT(trace.TotalSeconds(), 0.0);
 }
 
+// The ground span's rows count the relations grounding had to sort: both
+// on a cold run, none once every relation's order is cached.
+TEST(EngineTrace, GroundSpanShowsWhetherItSorted) {
+  Database db;
+  LoadDemo(&db);
+  Engine engine(&db);
+  const Query q =
+      engine.Parse("SELECT * FROM orders, stock WHERE item = sitem");
+  for (uint64_t expect_sorted : {2u, 0u}) {
+    QueryTrace trace;
+    {
+      QueryTrace::Scope root(&trace, "query");
+      engine.ExecuteTraced(q, &trace);
+    }
+    std::map<std::string, int> spans = IndexByName(trace);
+    ASSERT_TRUE(spans.count("ground"));
+    const QueryTrace::Span& ground = trace.spans()[spans["ground"]];
+    EXPECT_TRUE(ground.has_rows);
+    EXPECT_EQ(ground.rows, expect_sorted);
+  }
+}
+
 TEST(EngineTrace, ExecuteTracedAggregateSpanStructure) {
   Database db;
   LoadDemo(&db);

@@ -46,18 +46,9 @@ int NodeOfAttr(const FRep& rep, AttrId attr) {
 
 template <typename Fn>
 void ForEachUnionOfNode(const FRep& rep, int node, Fn fn) {
-  std::vector<char> seen(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = 1;
-    UnionRef un = rep.u(id);
-    if (un.node() == node) fn(un);
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      stack.push_back(un.child(i));
-    }
+  const std::vector<char> reach = rep.ReachableUnions();
+  for (uint32_t id = 0; id < rep.NumUnions(); ++id) {
+    if (reach[id] && rep.u(id).node() == node) fn(rep.u(id));
   }
 }
 
@@ -114,8 +105,6 @@ size_t CountDistinct(const FRep& rep, AttrId attr) {
 
 namespace {
 
-constexpr uint32_t kNoNewUnion = 0xFFFFFFFFu;
-
 // Repeated chi swaps until every node whose class meets `group_attrs` has
 // only such nodes as ancestors (the grouping classes become the f-tree's
 // upper fragment). Swaps are always applicable to a (parent, child) pair;
@@ -156,12 +145,11 @@ FRep RestructureForGrouping(const FRep& in, AttrSet group_attrs,
   }
 }
 
-// Memoised multi-spec statistics of whole sub-representations (the parts
-// below the grouping frontier, the global root trees, whole reps for
-// Sum/Avg): tuple count plus per-spec sum/min/max of the spec's
-// attribute. One pass over each reachable union, shared subtrees solved
-// once. For an entry with value v and child counts c_1..c_k / child sums
-// s_1..s_k:
+// Multi-spec statistics of whole sub-representations (the parts below
+// the grouping frontier, the global root trees, whole reps for Sum/Avg):
+// tuple count plus per-spec sum/min/max of the spec's attribute, per
+// reachable union, shared subtrees solved once. For an entry with value v
+// and child counts c_1..c_k / child sums s_1..s_k:
 //   count contribution:  prod_j c_j
 //   sum contribution:    [node has attr] * v * prod_j c_j
 //                        + sum_j s_j * prod_{j' != j} c_{j'}
@@ -172,11 +160,11 @@ struct CollapseCtx {
       : rep(r),
         specs(s),
         spec_slot(r.tree().pool_size(), std::vector<int>(s.size(), -2)),
-        done(r.NumUnions(), 0),
         count(r.NumUnions(), 0),
         sum(s.size() * r.NumUnions(), 0.0),
         mn(s.size() * r.NumUnions(), std::numeric_limits<Value>::max()),
-        mx(s.size() * r.NumUnions(), std::numeric_limits<Value>::min()) {}
+        mx(s.size() * r.NumUnions(), std::numeric_limits<Value>::min()),
+        weighted(s.size()) {}
 
   const FRep& rep;
   const std::vector<AggSpec>& specs;
@@ -186,81 +174,75 @@ struct CollapseCtx {
   // caller.
   std::vector<std::vector<int>> spec_slot;
 
-  std::vector<char> done;
   std::vector<uint64_t> count;  ///< [union]
   std::vector<double> sum;      ///< [spec * NumUnions + union]
   std::vector<Value> mn, mx;    ///< [spec * NumUnions + union]
+  std::vector<double> weighted;  ///< per-entry scratch of SolveStats
 };
 
-// Iterative post-order (shared subtrees solved once); the memo arrays of
-// `c` start zeroed / at the min-max sentinels, so stats accumulate into
-// the owning union's slots directly.
-void SolveStats(CollapseCtx& c, uint32_t root) {
-  if (c.done[root]) return;
+// Statistics of union `id` from those of its children, which must be
+// solved already. The memo arrays of `c` start zeroed / at the min-max
+// sentinels, so stats accumulate into the union's slots directly.
+void SolveStats(CollapseCtx& c, uint32_t id) {
   const size_t ns = c.specs.size();
   const size_t nu = c.rep.NumUnions();
-  std::vector<uint32_t> stack{root};
-  std::vector<double> weighted(ns);
-  // Governance probe: the aggregate collapse visits every reachable union,
-  // same cancellation window as the CountTuples DP.
+  std::vector<double>& weighted = c.weighted;
+  UnionRef un = c.rep.u(id);
+  const FTreeNode& nd = c.rep.tree().node(un.node());
+  const size_t k = nd.children.size();
+  const std::vector<int>& slot = c.spec_slot[static_cast<size_t>(un.node())];
+  uint64_t total_count = 0;
+  for (size_t e = 0; e < un.size(); ++e) {
+    uint64_t prod = 1;
+    std::fill(weighted.begin(), weighted.end(), 0.0);
+    for (size_t j = 0; j < k; ++j) {
+      uint32_t ch = un.Child(e, j, k);
+      for (size_t s = 0; s < ns; ++s) {
+        weighted[s] = weighted[s] * static_cast<double>(c.count[ch]) +
+                      c.sum[s * nu + ch] * static_cast<double>(prod);
+      }
+      prod = MulCount(prod, c.count[ch]);
+    }
+    total_count = AddCount(total_count, prod);
+    for (size_t s = 0; s < ns; ++s) {
+      c.sum[s * nu + id] += weighted[s];
+      if (slot[s] == -1) {
+        c.sum[s * nu + id] += static_cast<double>(un.value(e)) *
+                              static_cast<double>(prod);
+      } else if (slot[s] >= 0) {
+        uint32_t ch = un.Child(e, static_cast<size_t>(slot[s]), k);
+        c.mn[s * nu + id] = std::min(c.mn[s * nu + id], c.mn[s * nu + ch]);
+        c.mx[s * nu + id] = std::max(c.mx[s * nu + id], c.mx[s * nu + ch]);
+      }
+    }
+  }
+  for (size_t s = 0; s < ns; ++s) {
+    if (slot[s] == -1) {
+      c.mn[s * nu + id] = un.value(0);  // values are sorted
+      c.mx[s * nu + id] = un.value(un.size() - 1);
+    }
+  }
+  c.count[id] = total_count;
+}
+
+// The collapse: one forward loop over the reachable unions, so every child
+// is done before its parents. A union of a node marked in `is_group` goes
+// to `group`; every other union is solved.
+template <typename Group>
+void Collapse(CollapseCtx& c, const std::vector<char>& is_group, Group group) {
+  const std::vector<char> reach = c.rep.ReachableUnions();
+  // Governance probe: the collapse visits every reachable union, same
+  // cancellation window as the CountTuples DP.
   ExecContext* const ctx = ExecContext::Current();
   uint32_t tick = 0;
-  while (!stack.empty()) {
+  for (uint32_t id = 0; id < c.rep.NumUnions(); ++id) {
+    if (!reach[id]) continue;
     if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
-    if (c.done[id]) {
-      stack.pop_back();
-      continue;
+    if (is_group[static_cast<size_t>(c.rep.u(id).node())]) {
+      group(id);
+    } else {
+      SolveStats(c, id);
     }
-    UnionRef un = c.rep.u(id);
-    bool ready = true;
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      if (!c.done[kids[i]]) {
-        if (ready) ready = false;
-        stack.push_back(kids[i]);
-      }
-    }
-    if (!ready) continue;
-
-    const FTreeNode& nd = c.rep.tree().node(un.node());
-    const size_t k = nd.children.size();
-    const std::vector<int>& slot =
-        c.spec_slot[static_cast<size_t>(un.node())];
-    uint64_t total_count = 0;
-    for (size_t e = 0; e < un.size(); ++e) {
-      uint64_t prod = 1;
-      std::fill(weighted.begin(), weighted.end(), 0.0);
-      for (size_t j = 0; j < k; ++j) {
-        uint32_t ch = un.Child(e, j, k);
-        for (size_t s = 0; s < ns; ++s) {
-          weighted[s] = weighted[s] * static_cast<double>(c.count[ch]) +
-                        c.sum[s * nu + ch] * static_cast<double>(prod);
-        }
-        prod = MulCount(prod, c.count[ch]);
-      }
-      total_count = AddCount(total_count, prod);
-      for (size_t s = 0; s < ns; ++s) {
-        c.sum[s * nu + id] += weighted[s];
-        if (slot[s] == -1) {
-          c.sum[s * nu + id] += static_cast<double>(un.value(e)) *
-                                static_cast<double>(prod);
-        } else if (slot[s] >= 0) {
-          uint32_t ch = un.Child(e, static_cast<size_t>(slot[s]), k);
-          c.mn[s * nu + id] = std::min(c.mn[s * nu + id], c.mn[s * nu + ch]);
-          c.mx[s * nu + id] = std::max(c.mx[s * nu + id], c.mx[s * nu + ch]);
-        }
-      }
-    }
-    for (size_t s = 0; s < ns; ++s) {
-      if (slot[s] == -1) {
-        c.mn[s * nu + id] = un.value(0);  // values are sorted
-        c.mx[s * nu + id] = un.value(un.size() - 1);
-      }
-    }
-    c.count[id] = total_count;
-    c.done[id] = 1;
-    stack.pop_back();
   }
 }
 
@@ -273,9 +255,9 @@ CountSum SolveForest(const FRep& rep, AttrId attr) {
   const std::vector<AggSpec> specs{{AggFn::kSum, attr}};
   CollapseCtx c(rep, specs);
   c.spec_slot[static_cast<size_t>(rep.tree().FindAttr(attr))][0] = -1;
+  Collapse(c, std::vector<char>(rep.tree().pool_size(), 0), [](uint32_t) {});
   CountSum total{1, 0.0};
   for (uint32_t r : rep.roots()) {
-    SolveStats(c, r);
     total.sum = total.sum * static_cast<double>(c.count[r]) +
                 c.sum[r] * static_cast<double>(total.count);
     total.count = MulCount(total.count, c.count[r]);
@@ -524,30 +506,13 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
   }
   const size_t nu = cur.NumUnions();
 
-  // Global root trees (no grouping class anywhere): collapse each whole
-  // tree and pair-combine into the global multipliers.
-  for (size_t i = 0; i < cur.roots().size(); ++i) {
-    int rn = t.roots()[i];
-    if (is_group[static_cast<size_t>(rn)]) continue;
-    uint32_t rid = cur.roots()[i];
-    SolveStats(ctx, rid);
-    for (size_t s = 0; s < ns; ++s) {
-      out.global_sum[s] =
-          out.global_sum[s] * static_cast<double>(ctx.count[rid]) +
-          ctx.sum[s * nu + rid] * static_cast<double>(out.global_count);
-      if (out.specs[s].fn != AggFn::kCount &&
-          sub_attrs[static_cast<size_t>(rn)].Contains(out.specs[s].attr)) {
-        out.global_min[s] = ctx.mn[s * nu + rid];
-        out.global_max[s] = ctx.mx[s * nu + rid];
-      }
-    }
-    out.global_count = MulCount(out.global_count, ctx.count[rid]);
-  }
-
   // Rebuild the group forest's unions, collapsing every removed child
-  // slot into the owning entry's payload. Memoised so shared subtrees of
-  // a DAG input (the restructuring swaps share T_A copies; hand-built and
-  // deserialised reps may share too) stay shared in the grouped rep.
+  // slot into the owning entry's payload. The collapse loop reaches a
+  // group union after all of its children, so its group children are
+  // already rebuilt (shared subtrees of a DAG input — the restructuring
+  // swaps share T_A copies; hand-built and deserialised reps may share
+  // too — stay shared in the grouped rep) and its removed children
+  // already solved.
   FRep grep{std::move(gt)};
   grep.MarkNonEmpty();
   // Per-node slot split, aligned with the new tree's child order.
@@ -565,10 +530,9 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     }
   }
 
-  std::vector<uint32_t> rebuilt(nu, kNoNewUnion);
+  std::vector<uint32_t> rebuilt(nu);  // [union of cur] -> group forest id
   std::vector<double> esum(ns);
-  auto rebuild = [&](auto&& self, uint32_t id) -> uint32_t {
-    if (rebuilt[id] != kNoNewUnion) return rebuilt[id];
+  Collapse(ctx, is_group, [&](uint32_t id) {
     UnionRef un = cur.u(id);
     const int n = un.node();
     const size_t k = t.node(n).children.size();
@@ -583,14 +547,11 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
     std::vector<Value> pmin(ns * len, std::numeric_limits<Value>::max());
     std::vector<Value> pmax(ns * len, std::numeric_limits<Value>::min());
     for (size_t e = 0; e < len; ++e) {
-      for (size_t j : gslots) {
-        nb.AddChild(self(self, un.Child(e, j, k)));
-      }
+      for (size_t j : gslots) nb.AddChild(rebuilt[un.Child(e, j, k)]);
       uint64_t cnt = 1;
       std::fill(esum.begin(), esum.end(), 0.0);
       for (size_t j : rslots) {
         uint32_t ch = un.Child(e, j, k);
-        SolveStats(ctx, ch);
         for (size_t s = 0; s < ns; ++s) {
           esum[s] = esum[s] * static_cast<double>(ctx.count[ch]) +
                     ctx.sum[s * nu + ch] * static_cast<double>(cnt);
@@ -622,12 +583,28 @@ GroupedRep GroupByAggregate(const FRep& in, AttrSet group_attrs,
                               &pmax[s * len] + len);
     }
     rebuilt[id] = nid;
-    return nid;
-  };
+  });
 
+  // Global root trees (no grouping class anywhere) pair-combine into the
+  // global multipliers; group root trees are the group forest's roots.
   for (size_t i = 0; i < cur.roots().size(); ++i) {
-    if (!is_group[static_cast<size_t>(t.roots()[i])]) continue;
-    grep.roots().push_back(rebuild(rebuild, cur.roots()[i]));
+    const int rn = t.roots()[i];
+    const uint32_t rid = cur.roots()[i];
+    if (is_group[static_cast<size_t>(rn)]) {
+      grep.roots().push_back(rebuilt[rid]);
+      continue;
+    }
+    for (size_t s = 0; s < ns; ++s) {
+      out.global_sum[s] =
+          out.global_sum[s] * static_cast<double>(ctx.count[rid]) +
+          ctx.sum[s * nu + rid] * static_cast<double>(out.global_count);
+      if (out.specs[s].fn != AggFn::kCount &&
+          sub_attrs[static_cast<size_t>(rn)].Contains(out.specs[s].attr)) {
+        out.global_min[s] = ctx.mn[s * nu + rid];
+        out.global_max[s] = ctx.mx[s * nu + rid];
+      }
+    }
+    out.global_count = MulCount(out.global_count, ctx.count[rid]);
   }
   out.rep = std::move(grep);
   FDB_VALIDATE_GROUPED(out);

@@ -1,31 +1,6 @@
 #include "core/frep.h"
 
-#include <algorithm>
-
 namespace fdb {
-
-namespace {
-
-// Operators may leave unreachable (dropped-entry or abandoned) unions in the
-// header table, so statistics walk only what the roots reach; shared unions
-// count once.
-template <typename Fn>
-void ForEachReachable(const FRep& rep, Fn fn) {
-  std::vector<char> seen(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;
-    seen[id] = 1;
-    UnionRef un = rep.u(id);
-    fn(un);
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) stack.push_back(kids[i]);
-  }
-}
-
-}  // namespace
 
 void FRep::MarkEmpty() {
   FDB_CHECK_MSG(scratch_top_ == 0, "MarkEmpty with open builders");
@@ -39,20 +14,50 @@ void FRep::MarkEmpty() {
   std::vector<std::unique_ptr<Scratch>>().swap(scratch_);
 }
 
+std::vector<char> FRep::ReachableUnions(
+    const std::vector<char>* keep) const {
+  std::vector<char> reach(headers_.size(), 0);
+  if (empty_) return reach;
+  const auto kept = [keep](int node) {
+    return keep == nullptr || (*keep)[static_cast<size_t>(node)];
+  };
+  for (size_t i = 0; i < roots_.size(); ++i) {
+    if (kept(tree_.roots()[i])) reach[roots_[i]] = 1;
+  }
+  // Children precede their parents, so a union is final before the loop
+  // reaches it.
+  for (size_t id = headers_.size(); id-- > 0;) {
+    if (!reach[id]) continue;
+    const UnionHeader& h = headers_[id];
+    const uint32_t* kids = children_.data() + h.child_off;
+    const std::vector<int>& ch = tree_.node(h.node).children;
+    const size_t k = ch.size();
+    for (size_t j = 0; j < k; ++j) {
+      if (!kept(ch[j])) continue;
+      for (size_t e = 0; e < h.len; ++e) reach[kids[e * k + j]] = 1;
+    }
+  }
+  return reach;
+}
+
+// Shared unions count once; unreachable (dropped-entry) unions not at all.
 size_t FRep::NumSingletons() const {
-  if (empty_) return 0;
+  const std::vector<char> reach = ReachableUnions();
   size_t total = 0;
-  ForEachReachable(*this, [&](const UnionRef& un) {
-    total += un.size() *
-             static_cast<size_t>(tree_.node(un.node()).visible.Size());
-  });
+  for (size_t id = 0; id < headers_.size(); ++id) {
+    if (!reach[id]) continue;
+    total += headers_[id].len *
+             static_cast<size_t>(tree_.node(headers_[id].node).visible.Size());
+  }
   return total;
 }
 
 size_t FRep::NumValues() const {
-  if (empty_) return 0;
+  const std::vector<char> reach = ReachableUnions();
   size_t total = 0;
-  ForEachReachable(*this, [&](const UnionRef& un) { total += un.size(); });
+  for (size_t id = 0; id < headers_.size(); ++id) {
+    if (reach[id]) total += headers_[id].len;
+  }
   return total;
 }
 
@@ -71,55 +76,63 @@ size_t FRep::MemoryBytes() const {
 
 namespace {
 
-// Shared iterative post-order DP over the union DAG (Swap output and
-// hand-built or deserialised reps share subtrees). `Num` is the accumulator
-// type;
-// `mul`/`add` fold two values and return false on saturation, which aborts
-// the whole pass.
+// The counting DP over the union DAG (Swap output and hand-built or
+// deserialised reps share subtrees): one forward loop over the ids, so every
+// child's count is final before its parents read it. Only the unions
+// ReachableUnions(keep) marks are counted, so dropped-entry leftovers can
+// neither saturate the pass nor cost time; masked child slots contribute
+// factor 1. `Num` is the accumulator type; `mul`/`add` fold two values and
+// return false on saturation, which aborts the whole pass. memo[id] is the
+// count of the subtree rooted at union id (0 for unmarked unions).
 template <typename Num, typename Mul, typename Add>
-bool CountDp(const FRep& rep, Num one, Mul mul, Add add, Num* out) {
-  std::vector<Num> memo(rep.NumUnions(), Num{});
-  std::vector<char> done(rep.NumUnions(), 0);
-  std::vector<uint32_t> stack(rep.roots().begin(), rep.roots().end());
+bool CountDp(const FRep& rep, const std::vector<char>* keep, Num one, Mul mul,
+             Add add, std::vector<Num>* memo) {
+  const std::vector<char> reach = rep.ReachableUnions(keep);
+  memo->assign(rep.NumUnions(), Num{});
   // Governance probe: the DP touches every reachable union, so large reps
   // make it a cancellation window in its own right.
   ExecContext* const ctx = ExecContext::Current();
   uint32_t tick = 0;
-  while (!stack.empty()) {
+  for (uint32_t id = 0; id < rep.NumUnions(); ++id) {
+    if (!reach[id]) continue;
     if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
     UnionRef un = rep.u(id);
-    if (done[id]) {
-      stack.pop_back();
-      continue;
-    }
-    bool ready = true;
-    const uint32_t* kids = un.children();
-    for (size_t i = 0; i < un.num_children(); ++i) {
-      if (!done[kids[i]]) {
-        if (ready) ready = false;
-        stack.push_back(kids[i]);
-      }
-    }
-    if (!ready) continue;
-    const size_t k = rep.tree().node(un.node()).children.size();
+    const std::vector<int>& ch = rep.tree().node(un.node()).children;
+    const size_t k = ch.size();
     Num total{};
     for (size_t e = 0; e < un.size(); ++e) {
       Num prod = one;
       for (size_t j = 0; j < k; ++j) {
-        if (!mul(prod, memo[un.Child(e, j, k)], &prod)) return false;
+        if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) continue;
+        if (!mul(prod, (*memo)[un.Child(e, j, k)], &prod)) return false;
       }
       if (!add(total, prod, &total)) return false;
     }
-    memo[id] = total;
-    done[id] = 1;
-    stack.pop_back();
+    (*memo)[id] = total;
   }
+  return true;
+}
+
+// The whole rep's count: the DP, then the product over the root trees.
+template <typename Num, typename Mul, typename Add>
+bool CountAll(const FRep& rep, Num one, Mul mul, Add add, Num* out) {
+  std::vector<Num> memo;
+  if (!CountDp(rep, nullptr, one, mul, add, &memo)) return false;
   Num result = one;
   for (uint32_t r : rep.roots()) {
     if (!mul(result, memo[r], &result)) return false;
   }
   *out = result;
+  return true;
+}
+
+bool MulDouble(double a, double b, double* o) {
+  *o = a * b;
+  return true;
+}
+
+bool AddDouble(double a, double b, double* o) {
+  *o = a + b;
   return true;
 }
 
@@ -130,7 +143,7 @@ bool TryCountU64(const FRep& rep, uint64_t* out) {
   auto add = [](uint64_t a, uint64_t b, uint64_t* o) {
     return !U64AddOverflow(a, b, o);
   };
-  return CountDp<uint64_t>(rep, 1, mul, add, out);
+  return CountAll<uint64_t>(rep, 1, mul, add, out);
 }
 
 }  // namespace
@@ -152,70 +165,15 @@ double FRep::CountTuples(bool* exact) const {
   }
   // Saturated uint64: fall back to (approximate) double accumulation.
   if (exact != nullptr) *exact = false;
-  auto mul = [](double a, double b, double* o) {
-    *o = a * b;
-    return true;
-  };
-  auto add = [](double a, double b, double* o) {
-    *o = a + b;
-    return true;
-  };
   double approx = 0.0;
-  CountDp<double>(*this, 1.0, mul, add, &approx);
+  CountAll(*this, 1.0, MulDouble, AddDouble, &approx);
   return approx;
 }
 
 std::vector<double> FRep::SubtreeTupleCounts(
     const std::vector<char>* keep) const {
-  std::vector<double> memo(NumUnions(), 0.0);
-  if (empty_) return memo;
-  // Same iterative post-order walk as CountDp, but keep-masked (skipped
-  // child slots multiply by 1 and are never visited) and with the whole
-  // memo exposed rather than just the root fold.
-  std::vector<char> done(NumUnions(), 0);
-  std::vector<uint32_t> stack;
-  for (size_t i = 0; i < roots_.size(); ++i) {
-    if (keep == nullptr || (*keep)[static_cast<size_t>(tree_.roots()[i])]) {
-      stack.push_back(roots_[i]);
-    }
-  }
-  ExecContext* const ctx = ExecContext::Current();
-  uint32_t tick = 0;
-  while (!stack.empty()) {
-    if (ctx != nullptr && (++tick & 255u) == 0) ctx->CheckCancelled();
-    uint32_t id = stack.back();
-    if (done[id]) {
-      stack.pop_back();
-      continue;
-    }
-    UnionRef un = u(id);
-    const std::vector<int>& ch = tree_.node(un.node()).children;
-    const size_t k = ch.size();
-    bool ready = true;
-    for (size_t e = 0; e < un.size(); ++e) {
-      for (size_t j = 0; j < k; ++j) {
-        if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) continue;
-        uint32_t c = un.Child(e, j, k);
-        if (!done[c]) {
-          if (ready) ready = false;
-          stack.push_back(c);
-        }
-      }
-    }
-    if (!ready) continue;
-    double total = 0.0;
-    for (size_t e = 0; e < un.size(); ++e) {
-      double prod = 1.0;
-      for (size_t j = 0; j < k; ++j) {
-        if (keep != nullptr && !(*keep)[static_cast<size_t>(ch[j])]) continue;
-        prod *= memo[un.Child(e, j, k)];
-      }
-      total += prod;
-    }
-    memo[id] = total;
-    done[id] = 1;
-    stack.pop_back();
-  }
+  std::vector<double> memo;
+  CountDp(*this, keep, 1.0, MulDouble, AddDouble, &memo);
   return memo;
 }
 
@@ -239,20 +197,24 @@ void FRep::Validate() const {
   }
   FDB_CHECK_MSG(roots_.size() == tree_.roots().size(),
                 "root unions must align with tree roots");
-  // Walk every reachable union once.
-  std::vector<char> seen(headers_.size(), 0);
-  std::vector<uint32_t> stack;
+  size_t val_end = 0, child_end = 0;
+  for (const UnionHeader& h : headers_) {
+    FDB_CHECK_MSG(h.val_off >= val_end && h.child_off >= child_end,
+                  "union windows not in id order");
+    val_end = h.val_off + h.len;
+    child_end = h.child_off + h.num_children;
+  }
+  std::vector<char> reach(headers_.size(), 0);
   for (size_t i = 0; i < roots_.size(); ++i) {
     FDB_CHECK(roots_[i] < headers_.size());
     FDB_CHECK_MSG(headers_[roots_[i]].node == tree_.roots()[i],
                   "root union bound to wrong tree node");
-    stack.push_back(roots_[i]);
+    reach[roots_[i]] = 1;
   }
-  while (!stack.empty()) {
-    uint32_t id = stack.back();
-    stack.pop_back();
-    if (seen[id]) continue;  // sharing is legal (e.g. deserialised DAGs)
-    seen[id] = 1;
+  // Children must precede their parents; then one backward loop visits
+  // every reachable union once (sharing is legal, e.g. Swap output).
+  for (uint32_t id = static_cast<uint32_t>(headers_.size()); id-- > 0;) {
+    if (!reach[id]) continue;
     UnionRef un = u(id);
     const FTreeNode& nd = tree_.node(un.node());
     FDB_CHECK_MSG(nd.alive, "union bound to dead tree node");
@@ -267,10 +229,10 @@ void FRep::Validate() const {
     for (size_t e = 0; e < un.size(); ++e) {
       for (size_t j = 0; j < k; ++j) {
         uint32_t c = un.Child(e, j, k);
-        FDB_CHECK(c < headers_.size());
+        FDB_CHECK_MSG(c < id, "child union does not precede its parent");
         FDB_CHECK_MSG(headers_[c].node == nd.children[j],
                       "child union bound to wrong tree node");
-        stack.push_back(c);
+        reach[c] = 1;
       }
     }
   }

@@ -10,6 +10,13 @@
 //   headers_   [ {node, len, val_off, child_off, num_children} ... ]
 //              one small header per union; the union id is its index here
 //
+// A union's id is assigned when it is committed, so ids follow commit
+// order: header i's windows follow header i-1's in both arenas, and every
+// child id is smaller than its parent's. A pass over the union DAG is
+// therefore one loop over the ids — forward visits children before their
+// parents (the counting and aggregation DPs), backward visits parents
+// before their children (reachability from the roots).
+//
 // One UnionRef (a non-owning view: FRep pointer + union id) materialises one
 // occurrence of an f-tree node: the sorted distinct values of the grouping
 // class in that context, and for every value one child union per child of
@@ -20,11 +27,12 @@
 // Construction goes through UnionBuilder (FRep::StartUnion): entries are
 // staged in a small scratch buffer (recycled LIFO across unions, so steady-
 // state construction performs no per-union allocation) and committed to the
-// arena tail in one append on Finish(). Builders nest like the operator
-// recursion that drives them: a child subtree is fully committed before its
-// parent finishes, so each committed union occupies one contiguous window.
-// Abandon() discards a union that turned out empty; its header stays as an
-// unreachable zero-length stub, which walkers skip by reachability.
+// arena tail in one append on Finish(), which also assigns the id. Builders
+// nest like the operator recursion that drives them: a child's id is only
+// known once the child is committed, so it precedes its parent's. Abandon()
+// discards a union that turned out empty and commits nothing. Unions an
+// operator committed and then dropped (the children of an abandoned entry)
+// stay in the arenas unreachable; passes skip them by reachability.
 //
 // Invariants (checked by Validate(), preserved by every operator):
 //   * values within a union are strictly increasing (the paper's order
@@ -32,7 +40,8 @@
 //   * no union stored in a non-empty representation is empty — emptiness
 //     propagates to the whole representation (`empty()`);
 //   * the child count of every entry equals the f-tree node's child count,
-//     and child unions belong to the corresponding child f-tree nodes.
+//     and child unions belong to the corresponding child f-tree nodes;
+//   * every child id is smaller than its parent's id.
 //
 // The empty relation over any tree is representable (empty() == true); the
 // nullary relation <> is the non-empty representation over the empty forest.
@@ -107,6 +116,7 @@ class UnionRef {
 /// exactly one of Finish() / Abandon() ends the build (the destructor
 /// abandons an open builder). Values and child ids may be appended in any
 /// interleaving; Finish() commits both windows to the arena atomically.
+/// The union has no id until Finish() returns it.
 class UnionBuilder {
  public:
   UnionBuilder(const UnionBuilder&) = delete;
@@ -115,7 +125,6 @@ class UnionBuilder {
   UnionBuilder& operator=(UnionBuilder&& other) noexcept;
   ~UnionBuilder();
 
-  uint32_t id() const { return id_; }
   /// Entries staged so far.
   size_t size() const;
   bool empty() const { return size() == 0; }
@@ -128,9 +137,10 @@ class UnionBuilder {
   /// Unstages the last `n` child ids (an entry dropped mid-build).
   void DropChildren(size_t n);
 
-  /// Commits the staged entries to the arena; returns the union id.
+  /// Commits the staged entries to the arena tail; returns the union id,
+  /// which is NumUnions() before the call (ids are in commit order).
   uint32_t Finish();
-  /// Discards the staged entries; the id remains an unreachable stub.
+  /// Discards the staged entries; nothing is committed and no id is used.
   void Abandon();
 
  private:
@@ -139,12 +149,12 @@ class UnionBuilder {
     std::vector<Value> vals;
     std::vector<uint32_t> kids;
   };
-  UnionBuilder(FRep* rep, uint32_t id, Scratch* s)
-      : rep_(rep), s_(s), id_(id) {}
+  UnionBuilder(FRep* rep, int node, Scratch* s)
+      : rep_(rep), s_(s), node_(node) {}
 
   FRep* rep_ = nullptr;
   Scratch* s_ = nullptr;  ///< null once finished/abandoned/moved-from
-  uint32_t id_ = 0;
+  int node_ = -1;
 };
 
 /// A factorised representation bound to an f-tree.
@@ -211,8 +221,8 @@ class FRep {
   /// execution do not pin peak memory.
   void MarkEmpty();
 
-  /// Opens a builder for a new union of f-tree node `node`. The id is
-  /// assigned immediately; the data window is committed on Finish().
+  /// Opens a builder for a new union of f-tree node `node`. Nothing is
+  /// committed, and no id assigned, until the builder's Finish().
   UnionBuilder StartUnion(int node);
 
   /// View of union `id`.
@@ -223,6 +233,13 @@ class FRep {
   const std::vector<uint32_t>& roots() const { return roots_; }
 
   size_t NumUnions() const { return headers_.size(); }
+
+  /// Reachability mask over the union ids: out[id] = 1 iff union id is
+  /// reachable from the roots. When `keep` is given (indexed by f-tree node
+  /// id), child slots whose node is masked out are not followed, and
+  /// neither are masked root slots. One backward loop over the ids.
+  std::vector<char> ReachableUnions(
+      const std::vector<char>* keep = nullptr) const;
 
   /// Value of the entry with rep-wide entry index `i`
   /// (UnionRef::arena_offset() + entry, as EnumKernel::EmitEntries
@@ -271,9 +288,9 @@ class FRep {
   /// (exact below 2^53). When `keep` is given (indexed by f-tree node id,
   /// closed under parents), child slots whose node is masked out
   /// contribute factor 1 — the count of the enumeration stream restricted
-  /// to kept frames (a visible_only EnumKernel's stream). Unreachable
-  /// unions stay 0. Feeds the morsel planner and its parallel cutoff in
-  /// core/parallel_enumerate.h.
+  /// to kept frames (a visible_only EnumKernel's stream). Unions that
+  /// ReachableUnions(keep) does not mark stay 0. Feeds the morsel planner
+  /// and its parallel cutoff in core/parallel_enumerate.h.
   std::vector<double> SubtreeTupleCounts(
       const std::vector<char>* keep = nullptr) const;
 
@@ -289,7 +306,7 @@ class FRep {
 
   Scratch* AcquireScratch();
   void ReleaseScratch(Scratch* s);
-  void CommitUnion(uint32_t id, const Scratch& s);
+  uint32_t CommitUnion(int node, const Scratch& s);
 
   FTree tree_;
   std::vector<Value> values_;        ///< value arena
@@ -344,7 +361,7 @@ inline void UnionBuilder::DropChildren(size_t n) {
 }
 
 inline UnionBuilder::UnionBuilder(UnionBuilder&& other) noexcept
-    : rep_(other.rep_), s_(other.s_), id_(other.id_) {
+    : rep_(other.rep_), s_(other.s_), node_(other.node_) {
   other.s_ = nullptr;
 }
 inline UnionBuilder& UnionBuilder::operator=(UnionBuilder&& other) noexcept {
@@ -352,7 +369,7 @@ inline UnionBuilder& UnionBuilder::operator=(UnionBuilder&& other) noexcept {
     if (s_ != nullptr) Abandon();
     rep_ = other.rep_;
     s_ = other.s_;
-    id_ = other.id_;
+    node_ = other.node_;
     other.s_ = nullptr;
   }
   return *this;
@@ -363,10 +380,10 @@ inline UnionBuilder::~UnionBuilder() {
 
 inline uint32_t UnionBuilder::Finish() {
   FDB_CHECK_MSG(s_ != nullptr, "Finish() on a closed UnionBuilder");
-  rep_->CommitUnion(id_, *s_);
+  const uint32_t id = rep_->CommitUnion(node_, *s_);
   rep_->ReleaseScratch(s_);
   s_ = nullptr;
-  return id_;
+  return id;
 }
 
 inline void UnionBuilder::Abandon() {
@@ -378,14 +395,7 @@ inline void UnionBuilder::Abandon() {
 // ---- FRep inline builder plumbing ----
 
 inline UnionBuilder FRep::StartUnion(int node) {
-  ChargeAmbientMemory(sizeof(UnionHeader));
-  UnionHeader h;
-  h.node = node;
-  asan::UnpoisonTail(headers_);
-  headers_.push_back(h);
-  asan::PoisonTail(headers_);
-  return UnionBuilder(this, static_cast<uint32_t>(headers_.size()) - 1,
-                      AcquireScratch());
+  return UnionBuilder(this, node, AcquireScratch());
 }
 
 inline FRep::Scratch* FRep::AcquireScratch() {
@@ -421,18 +431,19 @@ inline void FRep::ReleaseScratch(Scratch* s) {
   }
 }
 
-inline void FRep::CommitUnion(uint32_t id, const Scratch& s) {
+inline uint32_t FRep::CommitUnion(int node, const Scratch& s) {
   // Governance probe at arena-growth granularity: check for cancellation
   // and charge the appended bytes *before* mutating the arenas, so an
   // unwinding commit leaves the rep discardable rather than half-written
   // (the caller's UnionBuilder still owns the scratch and Abandons it).
   if (ExecContext* ctx = ExecContext::Current()) {
     ctx->CheckCancelled();
-    ctx->ChargeMemory(s.vals.size() * sizeof(Value) +
+    ctx->ChargeMemory(sizeof(UnionHeader) + s.vals.size() * sizeof(Value) +
                       s.kids.size() * sizeof(uint32_t));
   }
   FDB_FAULT_POINT("frep_arena_commit");
-  UnionHeader& h = headers_[id];
+  UnionHeader h;
+  h.node = node;
   h.val_off = values_.size();
   h.child_off = children_.size();
   h.len = static_cast<uint32_t>(s.vals.size());
@@ -447,6 +458,11 @@ inline void FRep::CommitUnion(uint32_t id, const Scratch& s) {
   asan::UnpoisonTail(children_);
   children_.insert(children_.end(), s.kids.begin(), s.kids.end());
   asan::PoisonTail(children_);
+  // The header goes in last: a union exists once its windows do.
+  asan::UnpoisonTail(headers_);
+  headers_.push_back(h);
+  asan::PoisonTail(headers_);
+  return static_cast<uint32_t>(headers_.size()) - 1;
 }
 
 }  // namespace fdb

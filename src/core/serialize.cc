@@ -281,34 +281,49 @@ FRep ReadFRep(std::istream& in) {
     rep.MarkNonEmpty();
     const size_t n_unions = unions.size();
     // Ids are dense by construction of the writer (but records may arrive in
-    // any order): index by id, then append to the arena in id order.
+    // any order): index by id.
     std::vector<const UnionRec*> by_id(n_unions, nullptr);
+    std::vector<std::vector<size_t>> of_node(static_cast<size_t>(max_id) + 1);
     for (const UnionRec& u : unions) {
       FDB_CHECK_MSG(u.id >= 0 && u.id < static_cast<int64_t>(n_unions) &&
                         by_id[static_cast<size_t>(u.id)] == nullptr,
                     "union ids must be dense");
-      by_id[static_cast<size_t>(u.id)] = &u;
-    }
-    for (size_t i = 0; i < n_unions; ++i) {
-      const UnionRec& u = *by_id[i];
-      // The node binding must be checked here: StartUnion stores the id
-      // unchecked, and the Validate() walk below dereferences it through
-      // FTree::node() — an out-of-pool id would read out of bounds.
+      // Checked before anything dereferences the binding through
+      // FTree::node(): an out-of-pool id would read out of bounds.
       FDB_CHECK_MSG(u.node <= max_id && alive[static_cast<size_t>(u.node)],
                     "union bound to missing tree node");
-      UnionBuilder nu = rep.StartUnion(u.node);
-      for (int64_t v : u.values) nu.AddValue(v);
-      for (int64_t c : u.children) {
-        FDB_CHECK_MSG(c >= 0 && c < static_cast<int64_t>(n_unions),
-                      "dangling child union reference");
-        nu.AddChild(static_cast<uint32_t>(c));
+      by_id[static_cast<size_t>(u.id)] = &u;
+      of_node[static_cast<size_t>(u.node)].push_back(static_cast<size_t>(u.id));
+    }
+    // Committed ids must put children before parents, and a child record
+    // is bound to a child tree node: committing the records node by node
+    // in reverse pre-order commits every child before its parent.
+    std::vector<uint32_t> committed(n_unions);  // record id -> union id
+    const std::vector<int> order = rep.tree().PreOrder();
+    for (auto n = order.rbegin(); n != order.rend(); ++n) {
+      const std::vector<int>& ch = rep.tree().node(*n).children;
+      for (size_t i : of_node[static_cast<size_t>(*n)]) {
+        const UnionRec& u = *by_id[i];
+        FDB_CHECK_MSG(u.children.size() == u.values.size() * ch.size(),
+                      "child slot count mismatch");
+        UnionBuilder nu = rep.StartUnion(u.node);
+        for (int64_t v : u.values) nu.AddValue(v);
+        for (size_t s = 0; s < u.children.size(); ++s) {
+          const int64_t c = u.children[s];
+          FDB_CHECK_MSG(c >= 0 && c < static_cast<int64_t>(n_unions),
+                        "dangling child union reference");
+          FDB_CHECK_MSG(by_id[static_cast<size_t>(c)]->node ==
+                            ch[s % ch.size()],
+                        "child union bound to wrong tree node");
+          nu.AddChild(committed[static_cast<size_t>(c)]);
+        }
+        committed[i] = nu.Finish();
       }
-      nu.Finish();
     }
     for (int64_t r : uroots) {
       FDB_CHECK_MSG(r >= 0 && r < static_cast<int64_t>(n_unions),
                     "dangling root union reference");
-      rep.roots().push_back(static_cast<uint32_t>(r));
+      rep.roots().push_back(committed[static_cast<size_t>(r)]);
     }
   }
   rep.Validate();

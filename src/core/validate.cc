@@ -118,17 +118,7 @@ void CheckDeep(const FRep& rep) {
     }
   }
 
-  // Iterative DFS with an explicit on-path mark: a gray union reached
-  // again through a child edge is a cycle, which the recursive walkers
-  // (CountTuples DP, enumerators) must never be exposed to. Black unions
-  // are fully validated; re-reaching them is legal sharing.
-  enum : char { kWhite = 0, kGray = 1, kBlack = 2 };
-  std::vector<char> color(nu, kWhite);
-  struct Frame {
-    uint32_t id;
-    size_t next_child;  // index into the child window
-  };
-  std::vector<Frame> stack;
+  std::vector<char> reach(nu, 0);
   for (size_t i = 0; i < rep.roots().size(); ++i) {
     const uint32_t r = rep.roots()[i];
     if (rep.HeaderOf(r).node != t.roots()[i]) {
@@ -137,73 +127,84 @@ void CheckDeep(const FRep& rep) {
          << rep.HeaderOf(r).node << ", expected root node " << t.roots()[i];
       Fail("ValidateDeep", os.str());
     }
-    if (color[r] == kBlack) continue;
-    stack.push_back({r, 0});
-    color[r] = kGray;
-    while (!stack.empty()) {
-      Frame& f = stack.back();
-      const uint32_t id = f.id;
-      if (f.next_child == 0) {
-        // First visit: geometry first (safe to do before dereferencing),
-        // then the entry-level invariants.
-        CheckHeader(rep, id);
-        const UnionHeader& h = rep.HeaderOf(id);
-        const FTreeNode& nd = t.node(h.node);
-        if (!nd.alive) {
-          Fail("ValidateDeep", UnionStr(id) + " is bound to a dead tree node");
-        }
-        if (h.len == 0) {
-          Fail("ValidateDeep", UnionStr(id) +
-                                   " is empty inside a non-empty "
-                                   "representation (emptiness must propagate)");
-        }
-        if (nd.constant && h.len != 1) {
-          std::ostringstream os;
-          os << UnionStr(id) << " has " << h.len
-             << " entries for constant tree node " << h.node
-             << " (selection pins one value)";
-          Fail("ValidateDeep", os.str());
-        }
-        if (h.num_children != h.len * nd.children.size()) {
-          std::ostringstream os;
-          os << UnionStr(id) << " commits " << h.num_children
-             << " child slots for " << h.len << " entries x "
-             << nd.children.size() << " tree children";
-          Fail("ValidateDeep", os.str());
-        }
-        const UnionRef u = rep.u(id);
-        for (size_t e = 1; e < h.len; ++e) {
-          if (!(u.value(e - 1) < u.value(e))) {
-            std::ostringstream os;
-            os << UnionStr(id) << " values not strictly increasing at entry "
-               << e;
-            Fail("ValidateDeep", os.str());
-          }
-        }
+    reach[r] = 1;
+  }
+
+  // Value windows in id order: distinct unions then own disjoint windows
+  // (per-entry side arrays keyed by arena_offset cannot collide), and a
+  // forward pass over the ids walks the value arena front to back.
+  size_t val_end = 0;
+  for (uint32_t id = 0; id < nu; ++id) {
+    const UnionHeader& h = rep.HeaderOf(id);
+    if (h.val_off < val_end) {
+      std::ostringstream os;
+      os << UnionStr(id) << " value window starts at " << h.val_off
+         << ", inside the window of an earlier union (ends at " << val_end
+         << "): windows overlap in the value arena or are not in id order";
+      Fail("ValidateDeep", os.str());
+    }
+    val_end = h.val_off + h.len;
+  }
+
+  // Every child id must be smaller than its parent's. Then no reference
+  // can close a cycle, and one backward loop over the ids reaches each
+  // union after all of its parents: reachability needs no stack.
+  for (uint32_t id = static_cast<uint32_t>(nu); id-- > 0;) {
+    if (!reach[id]) continue;
+    // Geometry first (safe to do before dereferencing), then the
+    // entry-level invariants.
+    CheckHeader(rep, id);
+    const UnionHeader& h = rep.HeaderOf(id);
+    const FTreeNode& nd = t.node(h.node);
+    if (!nd.alive) {
+      Fail("ValidateDeep", UnionStr(id) + " is bound to a dead tree node");
+    }
+    if (h.len == 0) {
+      Fail("ValidateDeep", UnionStr(id) +
+                               " is empty inside a non-empty "
+                               "representation (emptiness must propagate)");
+    }
+    if (nd.constant && h.len != 1) {
+      std::ostringstream os;
+      os << UnionStr(id) << " has " << h.len
+         << " entries for constant tree node " << h.node
+         << " (selection pins one value)";
+      Fail("ValidateDeep", os.str());
+    }
+    const size_t slot_count = nd.children.size();
+    if (h.num_children != h.len * slot_count) {
+      std::ostringstream os;
+      os << UnionStr(id) << " commits " << h.num_children
+         << " child slots for " << h.len << " entries x " << slot_count
+         << " tree children";
+      Fail("ValidateDeep", os.str());
+    }
+    const UnionRef u = rep.u(id);
+    for (size_t e = 1; e < h.len; ++e) {
+      if (!(u.value(e - 1) < u.value(e))) {
+        std::ostringstream os;
+        os << UnionStr(id) << " values not strictly increasing at entry "
+           << e;
+        Fail("ValidateDeep", os.str());
       }
-      const UnionHeader& h = rep.HeaderOf(id);
-      if (f.next_child >= h.num_children) {
-        color[id] = kBlack;
-        stack.pop_back();
-        continue;
-      }
-      const size_t slot_count = t.node(h.node).children.size();
-      const size_t j = f.next_child % slot_count;
-      const uint32_t c = rep.u(id).child(f.next_child);
-      ++f.next_child;
+    }
+    for (size_t i = 0; i < h.num_children; ++i) {
+      const uint32_t c = u.child(i);
       if (c >= nu) {
         std::ostringstream os;
         os << UnionStr(id) << " references out-of-range child " << UnionStr(c)
            << " (representation has " << nu << " unions)";
         Fail("ValidateDeep", os.str());
       }
-      if (color[c] == kGray) {
+      if (c >= id) {
         std::ostringstream os;
-        os << "cyclic reference: " << UnionStr(c)
-           << " reaches itself through " << UnionStr(id);
+        os << "cyclic reference: " << UnionStr(id) << " references child "
+           << UnionStr(c) << ", which does not precede it (child ids must "
+           << "be smaller than their parent's)";
         Fail("ValidateDeep", os.str());
       }
-      const int expect = t.node(h.node).children[j];
+      const size_t j = i % slot_count;
+      const int expect = nd.children[j];
       if (rep.HeaderOf(c).node != expect) {
         std::ostringstream os;
         os << UnionStr(id) << " child slot " << j << " holds " << UnionStr(c)
@@ -211,31 +212,7 @@ void CheckDeep(const FRep& rep) {
            << expect;
         Fail("ValidateDeep", os.str());
       }
-      if (color[c] == kWhite) {
-        color[c] = kGray;
-        stack.push_back({c, 0});
-      }
-    }
-  }
-
-  // Distinct reachable unions must own disjoint value windows: an aliased
-  // window means two unions disagree about who owns those arena entries
-  // (and per-entry side arrays keyed by arena_offset would collide).
-  std::vector<uint32_t> reachable;
-  for (uint32_t id = 0; id < nu; ++id) {
-    if (color[id] == kBlack) reachable.push_back(id);
-  }
-  std::sort(reachable.begin(), reachable.end(), [&](uint32_t a, uint32_t b) {
-    return rep.HeaderOf(a).val_off < rep.HeaderOf(b).val_off;
-  });
-  for (size_t i = 1; i < reachable.size(); ++i) {
-    const UnionHeader& prev = rep.HeaderOf(reachable[i - 1]);
-    const UnionHeader& cur = rep.HeaderOf(reachable[i]);
-    if (prev.val_off + prev.len > cur.val_off) {
-      std::ostringstream os;
-      os << UnionStr(reachable[i - 1]) << " and " << UnionStr(reachable[i])
-         << " overlap in the value arena";
-      Fail("ValidateDeep", os.str());
+      reach[c] = 1;
     }
   }
 }

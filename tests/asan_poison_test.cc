@@ -74,7 +74,7 @@ TEST(AsanPoison, ArenaGrowthKeepsLiveWindowsReadable) {
   }
   rep.roots().push_back(last);
   rep.Validate();
-  // Read every committed value through the views (unreachable stubs too —
+  // Read every committed value through the views (unreachable unions too —
   // their windows are live arena, only the slack is poisoned).
   int64_t sum = 0;
   for (uint32_t id = 0; id < rep.NumUnions(); ++id) {
@@ -188,7 +188,7 @@ TEST(AsanPoisonDeathTest, SlackReadIsCaught) {
     // geometric growth, leaving real slack behind its one-value window.
     UnionBuilder a = rep.StartUnion(0);
     for (int i = 0; i < 5; ++i) a.AddValue(i);
-    a.Finish();  // unreachable stub — reachability is irrelevant here
+    a.Finish();  // unreachable — reachability is irrelevant here
     UnionBuilder b = rep.StartUnion(0);
     b.AddValue(99);
     rep.roots().push_back(b.Finish());

@@ -83,7 +83,7 @@ TEST(FRepArena, ViewStableAcrossArenaGrowth) {
   for (int i = 0; i < 10000; ++i) {
     UnionBuilder filler = rep.StartUnion(n);
     filler.AddValue(i);
-    filler.Finish();  // unreachable stubs; they only grow the arena
+    filler.Finish();  // unreachable; they only grow the arena
   }
   // The raw pointer may have moved (reallocation); the view must not care.
   ASSERT_EQ(view.size(), 2u);
@@ -127,18 +127,54 @@ TEST(FRepArena, ValidateRejectsCommittedEmptyUnion) {
   EXPECT_THROW(rep.Validate(), FdbError);
 }
 
-TEST(FRepArena, AbandonLeavesUnreachableStub) {
+TEST(FRepArena, AbandonCommitsNothing) {
   Relation r = MakeRel({0, 1}, {{1, 1}, {2, 2}});
   FRep rep = GroundRelation(r, 0);
-  size_t values_before = rep.NumValues();
+  const size_t unions_before = rep.NumUnions();
+  const size_t values_before = rep.NumValues();
 
   UnionBuilder b = rep.StartUnion(0);
   b.AddValue(99);
-  b.Abandon();  // staged data is dropped, id stays as an empty stub
+  b.Abandon();  // staged data is dropped and no id is used
 
-  rep.Validate();  // the stub is unreachable, so invariants still hold
+  rep.Validate();
+  EXPECT_EQ(rep.NumUnions(), unions_before);
   EXPECT_EQ(rep.NumValues(), values_before);
-  EXPECT_EQ(rep.u(static_cast<uint32_t>(rep.NumUnions()) - 1).size(), 0u);
+}
+
+TEST(FRepArena, IdsFollowCommitOrder) {
+  // The parent's builder opens first, but the child commits first, so the
+  // child gets the smaller id and the earlier value window.
+  FRep rep{PathFTree({0, 1}, 0)};
+  UnionBuilder ua = rep.StartUnion(0);
+  UnionBuilder ub = rep.StartUnion(1);
+  ub.AddValue(10);
+  ub.AddValue(20);
+  const uint32_t b = ub.Finish();
+  ua.AddValue(1);
+  ua.AddChild(b);
+  const uint32_t a = ua.Finish();
+  EXPECT_EQ(b, 0u);
+  EXPECT_EQ(a, 1u);
+  EXPECT_EQ(rep.u(b).arena_offset(), 0u);
+  EXPECT_EQ(rep.u(a).arena_offset(), 2u);
+  rep.roots().push_back(a);
+  rep.MarkNonEmpty();
+  rep.Validate();
+  EXPECT_EQ(rep.CountTuples(), 2.0);
+}
+
+TEST(FRepArena, ValidateRejectsChildCommittedAfterItsParent) {
+  FRep rep{PathFTree({0, 1}, 0)};
+  UnionBuilder ua = rep.StartUnion(0);
+  ua.AddValue(1);
+  ua.AddChild(1);  // the id of the B-union committed below
+  rep.roots().push_back(ua.Finish());
+  UnionBuilder ub = rep.StartUnion(1);
+  ub.AddValue(10);
+  ASSERT_EQ(ub.Finish(), 1u);
+  rep.MarkNonEmpty();
+  EXPECT_THROW(rep.Validate(), FdbError);
 }
 
 TEST(FRepArena, MemoryBytesTracksArena) {
@@ -179,7 +215,7 @@ TEST(FRepArena, CopyDuplicatesArenas) {
 
 TEST(FRepArena, SerializeRoundTripEquality) {
   // Push the rep through an operator first so the arena contains unreachable
-  // dropped-entry stubs; the writer compacts ids and the reader rebuilds a
+  // dropped-entry unions; the writer compacts ids and the reader rebuilds a
   // dense arena that represents the same relation.
   Relation r = MakeRel({0, 1}, {{1, 1}, {1, 2}, {2, 2}, {5, 9}});
   FRep rep = SelectConst(GroundRelation(r, 0), 1, CmpOp::kLe, 5);

@@ -189,6 +189,49 @@ TEST(FRep, CountTuplesMultipliesForest) {
   EXPECT_EQ(rep.NumSingletons(), 5u);  // exponential gap in miniature
 }
 
+TEST(FRep, UnreachableOverflowingUnionDoesNotSaturateCount) {
+  // A root over five leaf children. An unreachable root-node union over
+  // five leaves of 2^13 values each represents 2^65 tuples; the reachable
+  // root represents 2 x 2^5. The count DP must skip the unreachable one.
+  FTree t;
+  RelSet rs = RelSet::Of({0});
+  const int root = t.NewNode(AttrSet::Of({0}), AttrSet::Of({0}), rs, rs);
+  t.AttachRoot(root);
+  for (AttrId a = 1; a <= 5; ++a) {
+    t.AttachChild(root, t.NewNode(AttrSet::Of({a}), AttrSet::Of({a}), rs, rs));
+  }
+  FRep rep{t};
+  auto leaves = [&](Value n) {
+    std::vector<uint32_t> ids;
+    for (int leaf : rep.tree().node(root).children) {
+      UnionBuilder b = rep.StartUnion(leaf);
+      for (Value v = 0; v < n; ++v) b.AddValue(v);
+      ids.push_back(b.Finish());
+    }
+    return ids;
+  };
+  const std::vector<uint32_t> big = leaves(Value{1} << 13);
+  UnionBuilder garbage = rep.StartUnion(root);
+  garbage.AddValue(1);
+  for (uint32_t c : big) garbage.AddChild(c);
+  garbage.Finish();  // never linked from the roots
+  const std::vector<uint32_t> small = leaves(2);
+  UnionBuilder b = rep.StartUnion(root);
+  for (Value v : {1, 2}) {
+    b.AddValue(v);
+    for (uint32_t c : small) b.AddChild(c);
+  }
+  rep.roots().push_back(b.Finish());
+  rep.MarkNonEmpty();
+  rep.Validate();
+
+  EXPECT_EQ(rep.CountTuplesExact(), 64u);
+  bool exact = false;
+  EXPECT_EQ(rep.CountTuples(&exact), 64.0);
+  EXPECT_TRUE(exact);
+  EXPECT_EQ(rep.NumValues(), 12u);
+}
+
 TEST(Print, PaperNotation) {
   Relation r = MakeRel({0, 1}, {{1, 1}, {1, 2}, {2, 2}});
   FRep rep = GroundRelation(r, 0);

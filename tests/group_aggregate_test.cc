@@ -205,9 +205,9 @@ TEST(GroupByAggregate, UnknownAttributesThrow) {
 
 TEST(GroupByAggregate, SharedSubtreesCollapseOnce) {
   // Hand-built rep where both A-entries share one B-union (a DAG, as a
-  // deserialised rep may be; operators copy, so their output never
-  // shares); the collapse must memoise it and the grouped rep must still
-  // match the enumeration baseline.
+  // deserialised rep or a Swap's output may be); the collapse must solve
+  // it once and the grouped rep must still match the enumeration
+  // baseline.
   FTree t = PathFTree({0, 1}, 0);
   const int a_node = t.FindAttr(0), b_node = t.FindAttr(1);
   FRep rep{t};

@@ -589,8 +589,10 @@ TEST(SharedSubtrees, OperatorsMatchTreeShapedCopy) {
     from_tree.Validate();
     EXPECT_EQ(from_tree.empty(), name.find("(empty)") != std::string::npos);
     EXPECT_EQ(ReferenceTuples(from_dag, true), ReferenceTuples(from_tree, true));
-    // Operators copy every carried-over subtree, so their output is
-    // tree-shaped whatever the input's sharing: the same bytes either way.
+    // The same bytes either way: every operator but Swap copies each
+    // carried-over subtree, so its output is tree-shaped whatever the
+    // input's sharing, and Swap's memo is positional (one copy per entry
+    // and slot), so it shares the same subtrees on either input.
     EXPECT_EQ(Bytes(from_dag), Bytes(from_tree));
   }
 }

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/enumerate.h"
 #include "core/ground.h"
@@ -186,6 +191,119 @@ TEST(Serialize, RejectsFuzzFoundCrashClasses) {
                      "node 1 attrs=2 visible=2 cover=1 dep=1 const=0 "
                      "parent=30000\ntroot 0\nempty\nend\n"),
                FdbError);
+}
+
+// Rewrites the union records of a written rep: the record with written id
+// i gets id id_of[i], and the records appear in the order `order` lists
+// them (indexes into the written order).
+std::string Reorder(const std::string& text, const std::vector<size_t>& id_of,
+                    const std::vector<size_t>& order) {
+  std::istringstream in(text);
+  std::string line, head, tail;
+  std::vector<std::string> recs;
+  while (std::getline(in, line)) {
+    std::istringstream ls(line);
+    std::string kind;
+    ls >> kind;
+    if (kind == "union") {
+      size_t id;
+      std::string node, values, children;
+      ls >> id >> node >> values >> children;
+      std::string kids = "children=";
+      std::istringstream cs(children.substr(kids.size()));
+      std::string c;
+      for (bool first = true; std::getline(cs, c, ','); first = false) {
+        kids += (first ? "" : ",") + std::to_string(id_of[std::stoul(c)]);
+      }
+      recs.push_back("union " + std::to_string(id_of[id]) + " " + node + " " +
+                     values + " " + kids + "\n");
+    } else if (kind == "uroot") {
+      size_t r;
+      ls >> r;
+      tail += "uroot " + std::to_string(id_of[r]) + "\n";
+    } else if (kind == "end") {
+      tail += line + "\n";
+    } else {
+      head += line + "\n";
+    }
+  }
+  for (size_t i : order) head += recs[i];
+  return head + tail;
+}
+
+TEST(Serialize, RecordOrderDoesNotChangeTheBytes) {
+  // A DAG (Swap shares the C-subtrees across B-values) over three levels.
+  Relation r = MakeRel({0, 1}, {{1, 1}, {1, 2}, {2, 2}, {3, 1}, {3, 3}});
+  Relation s = MakeRel({2, 3}, {{1, 5}, {1, 6}, {2, 7}, {3, 5}});
+  FRep joined = Merge(Product(GroundRelation(r, 0), GroundRelation(s, 1)), 0, 2);
+  for (const FRep& rep : {joined, Swap(joined, 0, 1)}) {
+    std::ostringstream out;
+    WriteFRep(out, rep);
+    const std::string text = out.str();
+    size_t n = 0;
+    for (size_t at = text.find("\nunion "); at != std::string::npos;
+         at = text.find("\nunion ", at + 1)) {
+      ++n;
+    }
+    std::vector<size_t> ident(n);
+    std::iota(ident.begin(), ident.end(), size_t{0});
+    ASSERT_GE(ident.size(), 4u);
+    std::vector<size_t> reversed(ident.rbegin(), ident.rend());
+    std::vector<size_t> shuffled_ids = ident, shuffled_order = ident;
+    std::mt19937 rng(7);
+    std::shuffle(shuffled_ids.begin(), shuffled_ids.end(), rng);
+    std::shuffle(shuffled_order.begin(), shuffled_order.end(), rng);
+    const std::string variants[] = {
+        Reorder(text, ident, ident),               // parent-first (written)
+        Reorder(text, reversed, reversed),         // child-first ids + lines
+        Reorder(text, shuffled_ids, shuffled_order)};
+    for (const std::string& v : variants) {
+      std::istringstream in(v);
+      FRep back = ReadFRep(in);
+      std::ostringstream again;
+      WriteFRep(again, back);
+      EXPECT_EQ(again.str(), text) << "read from:\n" << v;
+    }
+  }
+}
+
+TEST(Serialize, RejectsChildRecordOfWrongTreeNode) {
+  auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      ReadFRep(in);
+    } catch (const FdbError& e) {
+      return e.what();
+    }
+    return {};
+  };
+  // Path 0 -> 1 -> 2.
+  const std::string head =
+      "fdb-frep 1\n"
+      "node 0 attrs=1 visible=1 cover=1 dep=1 const=0 parent=-1\n"
+      "node 1 attrs=2 visible=2 cover=1 dep=1 const=0 parent=0\n"
+      "node 2 attrs=4 visible=4 cover=1 dep=1 const=0 parent=1\n"
+      "troot 0\nnonempty\n";
+  // The root's slot holds the grandchild's union instead of a child's.
+  EXPECT_NE(error_of(head +
+                     "union 0 node=0 values=1 children=1\n"
+                     "union 1 node=2 values=3 children=\n"
+                     "uroot 0\nend\n")
+                .find("wrong tree node"),
+            std::string::npos);
+  // A union of node 0 in its own slot (a self-cycle).
+  EXPECT_NE(error_of(head +
+                     "union 0 node=0 values=1 children=0\n"
+                     "uroot 0\nend\n")
+                .find("wrong tree node"),
+            std::string::npos);
+  // The well-formed file is accepted.
+  EXPECT_EQ(error_of(head +
+                     "union 0 node=0 values=1 children=1\n"
+                     "union 1 node=1 values=2 children=2\n"
+                     "union 2 node=2 values=3 children=\n"
+                     "uroot 0\nend\n"),
+            "");
 }
 
 TEST(Serialize, CommentsAndBlankLinesIgnored) {

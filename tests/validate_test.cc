@@ -128,9 +128,27 @@ TEST(ValidateDeepTest, RejectsCyclicReference) {
   rep.MarkNonEmpty();
   UnionBuilder b = rep.StartUnion(rep.tree().roots()[0]);
   b.AddValue(1);
-  b.AddChild(b.id());  // ids are assigned at StartUnion: a self-cycle
+  // Finish() assigns the next id, NumUnions(): a self-cycle.
+  b.AddChild(static_cast<uint32_t>(rep.NumUnions()));
   rep.roots().push_back(b.Finish());
   ExpectRejected(ErrorOf([&] { ValidateDeep(rep); }), "cyclic reference");
+}
+
+TEST(ValidateDeepTest, RejectsChildCommittedAfterItsParent) {
+  // Acyclic and correctly bound, but the child's id is larger than its
+  // parent's: passes over the ids rely on children coming first.
+  FRep rep(ChainTree());
+  rep.MarkNonEmpty();
+  const int root = rep.tree().roots()[0];
+  const int leaf = rep.tree().node(root).children[0];
+  UnionBuilder b = rep.StartUnion(root);
+  b.AddValue(1);
+  b.AddChild(1);  // the id of the leaf union committed below
+  rep.roots().push_back(b.Finish());
+  UnionBuilder lb = rep.StartUnion(leaf);
+  lb.AddValue(7);
+  ASSERT_EQ(lb.Finish(), 1u);
+  ExpectRejected(ErrorOf([&] { ValidateDeep(rep); }), "does not precede");
 }
 
 TEST(ValidateDeepTest, RejectsChildSlotCountMismatch) {

@@ -53,6 +53,14 @@ Rules (each reported as path:line: [rule] message):
                      as RESOURCE; an ad-hoc catch would swallow the
                      resource-governance contract.
 
+  union-walk         No std::vector<char> sized by NumUnions() outside
+                     src/core/frep.{h,cc}, src/core/validate.cc and
+                     src/core/serialize.cc. Union ids are in commit order
+                     (children before parents), so a pass over the union
+                     DAG is one loop over the ids with the mask from
+                     FRep::ReachableUnions; a private per-union flag array
+                     is the sign of a stack walker coming back.
+
 Exit status: 0 when clean, 1 when any rule fires, 2 on usage errors.
 --self-test seeds one violation per rule through the checkers and fails if
 any rule does NOT fire (the armed-probe pattern: prove the lint is live).
@@ -295,6 +303,24 @@ def check_bad_alloc_catch(relpath, text):
                   'failure surfaces as RESOURCE')
 
 
+UNION_WALK_RE = re.compile(r'std::vector<char>[^;]*\bNumUnions\s*\(')
+UNION_WALK_FILES = ('src/core/frep.h', 'src/core/frep.cc',
+                    'src/core/validate.cc', 'src/core/serialize.cc')
+
+
+def check_union_walk(relpath, text):
+    if not relpath.startswith(('src/', 'fuzz/')):
+        return []
+    if relpath in UNION_WALK_FILES:
+        return []
+    return findings_for(
+        UNION_WALK_RE, strip_comments(text),
+        lambda m: '[union-walk] per-union char flags sized by NumUnions() '
+                  '— loop over the ids (children precede parents) with the '
+                  'mask from FRep::ReachableUnions instead of a private '
+                  'DAG walker')
+
+
 CHECKERS = [
     check_raw_threading,
     check_guarded_mutex,
@@ -304,6 +330,7 @@ CHECKERS = [
     check_no_abort_on_input,
     check_fault_points,
     check_bad_alloc_catch,
+    check_union_walk,
 ]
 
 # --------------------------------------------------------------------------
@@ -364,6 +391,9 @@ SELF_TEST_CASES = [
     (check_bad_alloc_catch, 'src/core/x.cc',
      'try { f(); } catch (const std::bad_alloc&) { g(); }\n',
      'TranslateBadAlloc([&] { f(); }, "f");\n'),
+    (check_union_walk, 'src/core/aggregate.cc',
+     'std::vector<char> seen(rep.NumUnions(), 0);\n',
+     'const std::vector<char> reach = rep.ReachableUnions();\n'),
 ]
 
 
